@@ -164,17 +164,49 @@ class NeighborhoodEvaluator(abc.ABC):
 
     # ------------------------------------------------------------------
     @abc.abstractmethod
-    def _evaluate(self, solution: np.ndarray, indices: np.ndarray) -> np.ndarray:
+    def _evaluate(
+        self, solution: np.ndarray, indices: np.ndarray, row: int | None
+    ) -> np.ndarray:
         """Platform-specific evaluation of the moves at the given flat indices."""
 
-    def _evaluate_many(self, solutions: np.ndarray, indices: np.ndarray) -> np.ndarray:
+    def _evaluate_many(
+        self, solutions: np.ndarray, indices: np.ndarray, rows: np.ndarray | None
+    ) -> np.ndarray:
         """Platform-specific batched evaluation; default replays the scalar path.
 
         The fallback runs the single-solution path once per replica (so its
         simulated time is exactly ``S`` sequential explorations); backends
         with a native batched execution override it.
         """
-        return np.stack([self._evaluate(solution, indices) for solution in solutions])
+        return np.stack(
+            [
+                self._evaluate(solution, indices, None if rows is None else int(rows[s]))
+                for s, solution in enumerate(solutions)
+            ]
+        )
+
+    def _is_canonical_full(self, indices: np.ndarray) -> bool:
+        """Whether ``indices`` is exactly ``0, 1, ..., size - 1`` in order.
+
+        Only then may a backend evaluate the neighborhood's shared full move
+        table.  A mere *permutation* of the full range must NOT: the table
+        is in canonical order, which would silently ignore the caller's
+        requested ordering.
+        """
+        return (
+            indices.size == self.neighborhood.size
+            and (
+                indices.size == 0
+                or (indices[0] == 0 and bool(np.all(np.diff(indices) == 1)))
+            )
+        )
+
+    def _moves(self, indices: np.ndarray) -> np.ndarray:
+        """The move table for ``indices``: the shared frozen full table when
+        they cover the neighborhood in order, a fresh slice otherwise."""
+        if self._is_canonical_full(indices):
+            return self.neighborhood.moves()
+        return self.neighborhood.moves(indices)
 
     def _check_indices(self, indices: np.ndarray | None) -> np.ndarray:
         if indices is None:
@@ -184,17 +216,32 @@ class NeighborhoodEvaluator(abc.ABC):
             raise IndexError("neighborhood index out of range")
         return indices
 
-    def evaluate(self, solution: np.ndarray, indices: np.ndarray | None = None) -> np.ndarray:
-        """Fitness of the neighbors at ``indices`` (default: the whole neighborhood)."""
+    def evaluate(
+        self,
+        solution: np.ndarray,
+        indices: np.ndarray | None = None,
+        *,
+        row: int | None = None,
+    ) -> np.ndarray:
+        """Fitness of the neighbors at ``indices`` (default: the whole neighborhood).
+
+        ``row`` is the global replica id of ``solution`` in the calling
+        search; it lets the problem's incremental gain engine serve the
+        evaluation.
+        """
         solution = as_solution(solution, self.problem.n)
         indices = self._check_indices(indices)
-        fitnesses = self._evaluate(solution, indices)
+        fitnesses = self._evaluate(solution, indices, row)
         self.stats.calls += 1
         self.stats.evaluations += int(indices.size)
         return fitnesses
 
     def evaluate_many(
-        self, solutions: np.ndarray, indices: np.ndarray | None = None
+        self,
+        solutions: np.ndarray,
+        indices: np.ndarray | None = None,
+        *,
+        rows: np.ndarray | None = None,
     ) -> np.ndarray:
         """Neighborhood fitnesses of a whole ``(S, n)`` block of solutions.
 
@@ -203,7 +250,9 @@ class NeighborhoodEvaluator(abc.ABC):
         entry point of the solution-parallel execution engine: backends that
         can batch (the CPU vectorized path, the GPU's single ``S x M``-thread
         launch) amortize per-call overheads — transfers, kernel launches,
-        Python dispatch — across all replicas.
+        Python dispatch — across all replicas.  ``rows`` holds the global
+        replica id of each solution in the calling search; it lets the
+        problem's incremental gain engine serve the evaluation.
         """
         solutions = np.asarray(solutions, dtype=np.int8)
         if solutions.ndim == 1:
@@ -215,9 +264,16 @@ class NeighborhoodEvaluator(abc.ABC):
         if solutions.size and not np.all((solutions == 0) | (solutions == 1)):
             raise ValueError("solution block must contain only 0/1 values")
         indices = self._check_indices(indices)
+        if rows is not None:
+            rows = np.asarray(rows, dtype=np.int64)
+            if rows.shape != (solutions.shape[0],):
+                raise ValueError(
+                    f"rows must hold one replica id per solution ({solutions.shape[0]}), "
+                    f"got shape {rows.shape}"
+                )
         if solutions.shape[0] == 0:
             return np.empty((0, indices.size), dtype=np.float64)
-        fitnesses = self._evaluate_many(solutions, indices)
+        fitnesses = self._evaluate_many(solutions, indices, rows)
         self.stats.calls += 1
         self.stats.evaluations += solutions.shape[0] * int(indices.size)
         return fitnesses
@@ -295,7 +351,9 @@ class SequentialEvaluator(_HostModelMixin, NeighborhoodEvaluator):
         super().__init__(problem, neighborhood)
         self._host_model = HostTimingModel(host, cores_used=cores)
 
-    def _evaluate(self, solution: np.ndarray, indices: np.ndarray) -> np.ndarray:
+    def _evaluate(
+        self, solution: np.ndarray, indices: np.ndarray, row: int | None
+    ) -> np.ndarray:
         mapping = self.neighborhood.mapping
         out = np.empty(indices.size, dtype=np.float64)
         for slot, flat in enumerate(indices):
@@ -321,19 +379,23 @@ class CPUEvaluator(_HostModelMixin, NeighborhoodEvaluator):
         super().__init__(problem, neighborhood)
         self._host_model = HostTimingModel(host, cores_used=cores)
 
-    def _evaluate(self, solution: np.ndarray, indices: np.ndarray) -> np.ndarray:
-        moves = self.neighborhood.moves(indices)
-        fitnesses = self.problem.evaluate_neighborhood(solution, moves)
+    def _evaluate(
+        self, solution: np.ndarray, indices: np.ndarray, row: int | None
+    ) -> np.ndarray:
+        fitnesses = self.problem.evaluate_neighborhood(solution, self._moves(indices), row=row)
         self._account_host_time(indices.size)
         return np.asarray(fitnesses, dtype=np.float64)
 
-    def _evaluate_many(self, solutions: np.ndarray, indices: np.ndarray) -> np.ndarray:
+    def _evaluate_many(
+        self, solutions: np.ndarray, indices: np.ndarray, rows: np.ndarray | None
+    ) -> np.ndarray:
         # One broadcast delta evaluation for the whole (S, n) block; the
         # modeled time still charges the sequential baseline for all S * M
         # evaluations (one per-call overhead instead of S — the batched
         # path's bookkeeping amortization).
-        moves = self.neighborhood.moves(indices)
-        fitnesses = self.problem.evaluate_neighborhood_batch(solutions, moves)
+        fitnesses = self.problem.evaluate_neighborhood_batch(
+            solutions, self._moves(indices), rows=rows
+        )
         self._account_host_time(solutions.shape[0] * indices.size)
         return np.asarray(fitnesses, dtype=np.float64)
 
@@ -397,6 +459,10 @@ class GPUEvaluator(NeighborhoodEvaluator):
         #: (still live in device memory — `fetch_fitnesses` reads from it).
         self._last_fitnesses: np.ndarray | None = None
         self._last_rows: np.ndarray | None = None
+        #: Global replica id of resident row 0: a multi-GPU pool sets it to
+        #: the start of the replica slice this device holds, so the launches
+        #: hand the problem (and its gain engine) global replica ids.
+        self._row_base = 0
         #: Persistent launch of the current session (``transfer_mode=
         #: "persistent"``): the whole iteration loop runs inside one launch.
         self._loop: DeviceLoop | None = None
@@ -418,21 +484,6 @@ class GPUEvaluator(NeighborhoodEvaluator):
                 "create a new evaluator instead of reusing it"
             )
 
-    def _is_canonical_full(self, indices: np.ndarray) -> bool:
-        """Whether ``indices`` is exactly ``0, 1, ..., size - 1`` in order.
-
-        A mere *permutation* of the full range must NOT take the full-
-        neighborhood fast path: the kernel writes fitnesses in canonical
-        order, which would silently ignore the caller's requested ordering.
-        """
-        return (
-            indices.size == self.neighborhood.size
-            and (
-                indices.size == 0
-                or (indices[0] == 0 and bool(np.all(np.diff(indices) == 1)))
-            )
-        )
-
     def _account_d2h(self, context: GPUContext, num_fitnesses: int) -> None:
         # Device -> host: the fitness array, for host-side move selection,
         # at the width of the shared fitness dtype; routed through the
@@ -443,7 +494,9 @@ class GPUEvaluator(NeighborhoodEvaluator):
         context.stats.d2h_bytes += int(d2h_bytes)
         context.timeline.schedule_sync("d2h", "fitnesses", grant.duration)
 
-    def _evaluate(self, solution: np.ndarray, indices: np.ndarray) -> np.ndarray:
+    def _evaluate(
+        self, solution: np.ndarray, indices: np.ndarray, row: int | None
+    ) -> np.ndarray:
         self._check_open()
         before = self.context.stats.total_time
         # Host -> device: the candidate solution (int32, as in the paper's kernels).
@@ -454,7 +507,7 @@ class GPUEvaluator(NeighborhoodEvaluator):
             self.context.launch(
                 self.kernel,
                 self.neighborhood.size,
-                (solution, fitnesses),
+                (solution, fitnesses, row),
                 block_size=self.block_size,
             )
             result = fitnesses.copy()
@@ -483,7 +536,9 @@ class GPUEvaluator(NeighborhoodEvaluator):
         self.stats.simulated_time += self.context.stats.total_time - before
         return result
 
-    def _evaluate_many(self, solutions: np.ndarray, indices: np.ndarray) -> np.ndarray:
+    def _evaluate_many(
+        self, solutions: np.ndarray, indices: np.ndarray, rows: np.ndarray | None
+    ) -> np.ndarray:
         """Solution-parallel evaluation: one ``S x M``-thread launch.
 
         The ``(S, n)`` solution block crosses PCIe once and a single kernel
@@ -513,6 +568,7 @@ class GPUEvaluator(NeighborhoodEvaluator):
         flat = self.context.memory.get(buffer_name).data
         if self._is_canonical_full(indices):
             kernel = self.batch_kernel
+            args = (solutions, flat, rows)
         else:
             # Compacted index list: same batched launch over the (S, M_sub)
             # logical space, with the move list fixed by the caller.
@@ -527,10 +583,11 @@ class GPUEvaluator(NeighborhoodEvaluator):
                 vectorized_fn=vectorized_fn,
                 cost=self.batch_kernel.cost,
             )
+            args = (solutions, flat)
         self.context.launch(
             kernel,
             (num_solutions, num_indices),
-            (solutions, flat),
+            args,
             block_size=self.block_size,
         )
         self._account_d2h(self.context, flat.size)
@@ -800,7 +857,9 @@ class GPUEvaluator(NeighborhoodEvaluator):
         ----------
         replica_ids:
             Rows of the resident block to evaluate (default: all).  The id
-            list crosses PCIe (``O(S)`` int32), not the solutions.
+            list crosses PCIe (``O(S)`` int32), not the solutions.  Offset
+            by the device's row base, they are the global replica ids the
+            launch hands the problem's gain engine.
         reduce:
             ``None`` downloads the full ``(S, M)`` fitness matrix (the
             "delta" transfer mode).  ``"argmin"`` / ``"first-improvement"``
@@ -882,14 +941,15 @@ class GPUEvaluator(NeighborhoodEvaluator):
             self._resident_fitness_size = flat_size
         flat = context.memory.get(flat_name).data
 
+        global_rows = rows + self._row_base
         if self._loop is not None and not self._loop.closed:
             result = self._evaluate_persistent(
-                rows, block, flat, reduce,
+                rows, global_rows, block, flat, reduce,
                 admissible, aspiration_fitness, thresholds, stamps,
             )
         else:
             result = self._evaluate_resident_async(
-                rows, block, flat, flat_name, reduce,
+                rows, global_rows, block, flat, flat_name, reduce,
                 admissible, aspiration_fitness, thresholds, stamps,
             )
             self.stats.simulated_time += timeline.elapsed - before_elapsed
@@ -900,6 +960,7 @@ class GPUEvaluator(NeighborhoodEvaluator):
     def _evaluate_resident_async(
         self,
         rows: np.ndarray,
+        global_rows: np.ndarray,
         block: np.ndarray,
         flat: np.ndarray,
         flat_name: str,
@@ -935,7 +996,7 @@ class GPUEvaluator(NeighborhoodEvaluator):
         _, kernel_event = context.launch_async(
             self.batch_kernel,
             (num_solutions, num_indices),
-            (block, flat),
+            (block, flat, global_rows),
             wait_for=kernel_deps,
             not_before=self._sync_time,
             block_size=self.block_size,
@@ -1009,6 +1070,7 @@ class GPUEvaluator(NeighborhoodEvaluator):
     def _evaluate_persistent(
         self,
         rows: np.ndarray,
+        global_rows: np.ndarray,
         block: np.ndarray,
         flat: np.ndarray,
         reduce: str | None,
@@ -1040,7 +1102,9 @@ class GPUEvaluator(NeighborhoodEvaluator):
         self._staged_deltas = []
         loop.write_control(self._resident.shape[0] * STOP_FLAG_BYTES)
         added = loop.iterate(
-            (num_solutions, num_indices), (block, flat), cost=self.batch_kernel.cost
+            (num_solutions, num_indices),
+            (block, flat, global_rows),
+            cost=self.batch_kernel.cost,
         )
         fitnesses = flat.reshape(num_solutions, num_indices)
         self._last_fitnesses = fitnesses
@@ -1423,7 +1487,9 @@ class MultiGPUEvaluator(NeighborhoodEvaluator):
             context.alloc(name, (size,), FITNESS_DTYPE)
         return context.memory.get(name).data
 
-    def _evaluate(self, solution: np.ndarray, indices: np.ndarray) -> np.ndarray:
+    def _evaluate(
+        self, solution: np.ndarray, indices: np.ndarray, row: int | None
+    ) -> np.ndarray:
         """Concurrent per-device async chains over a partitioned index space.
 
         The per-device uploads (and later the downloads) are priced as one
@@ -1480,7 +1546,9 @@ class MultiGPUEvaluator(NeighborhoodEvaluator):
         self.stats.simulated_time += scheduler.makespan - before
         return out
 
-    def _evaluate_many(self, solutions: np.ndarray, indices: np.ndarray) -> np.ndarray:
+    def _evaluate_many(
+        self, solutions: np.ndarray, indices: np.ndarray, rows: np.ndarray | None
+    ) -> np.ndarray:
         """Partition the flat ``S x M`` (replica, neighbor) space across devices.
 
         Each device receives a contiguous slice of the flattened batch (it
@@ -1488,7 +1556,9 @@ class MultiGPUEvaluator(NeighborhoodEvaluator):
         uploads only the solution rows that slice touches and runs one
         asynchronous upload -> launch -> download chain; the chains of
         different devices overlap freely, so the step costs the cross-device
-        makespan.
+        makespan.  The slices cut replicas mid-neighborhood, so they are
+        recomputed from partial move lists: the gain engine, which serves
+        whole neighborhoods by replica row, does not serve this path.
         """
         num_solutions, num_indices = solutions.shape[0], indices.size
         flat_total = num_solutions * num_indices
@@ -1557,6 +1627,17 @@ class MultiGPUEvaluator(NeighborhoodEvaluator):
     # ------------------------------------------------------------------
     supports_device_residency = True
 
+    def _set_replica_ranges(self, ranges: list[tuple[int, int]] | None) -> None:
+        """Install the resident replica ranges ``[lo, hi)``, one per device.
+
+        Each device evaluator's row base becomes the global id of the first
+        replica it holds, so its launches name replicas by global id and one
+        gain engine serves every shard, across begin/rebalance/fail/join.
+        """
+        self._replica_ranges = ranges
+        for index, evaluator in enumerate(self._sub_evaluators):
+            evaluator._row_base = ranges[index][0] if ranges is not None else 0
+
     def _resident_parts(self):
         """Yield ``(evaluator, lo, hi)`` for devices owning at least one replica."""
         if self._replica_ranges is None:
@@ -1582,7 +1663,7 @@ class MultiGPUEvaluator(NeighborhoodEvaluator):
             raise ValueError("need at least one replica to start a resident search")
         self.end_search()
         parts = self._partitions(solutions.shape[0])
-        self._replica_ranges = [(part.start, part.stop) for part in parts]
+        self._set_replica_ranges([(part.start, part.stop) for part in parts])
         self._persistent = bool(persistent)
         before = self.scheduler.makespan
         # The per-device resident uploads leave the host together, so they
@@ -2032,7 +2113,7 @@ class MultiGPUEvaluator(NeighborhoodEvaluator):
                 local = staged_global[mask].copy()
                 local[:, 0] -= lo
                 evaluator._staged_deltas = [local.astype(DELTA_DTYPE)]
-        self._replica_ranges = new_ranges
+        self._set_replica_ranges(new_ranges)
         return migrated
 
     # -- checkpointing ---------------------------------------------------
@@ -2076,7 +2157,7 @@ class MultiGPUEvaluator(NeighborhoodEvaluator):
             evaluator.restore_state(sub_snap)
         self._device_active = [bool(flag) for flag in snap["device_active"]]
         ranges = snap.get("replica_ranges")
-        self._replica_ranges = (
+        self._set_replica_ranges(
             [(int(lo), int(hi)) for lo, hi in ranges] if ranges is not None else None
         )
         self._persistent = bool(snap.get("persistent", False))
@@ -2092,7 +2173,7 @@ class MultiGPUEvaluator(NeighborhoodEvaluator):
         # them; the scratch buffers are reallocated on demand).
         for context in self.pool.contexts:
             context.free_evaluator_buffers(self)
-        self._replica_ranges = None
+        self._set_replica_ranges(None)
         self._persistent = False
         self._resident_tenure = None
 

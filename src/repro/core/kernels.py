@@ -12,8 +12,6 @@ the NumPy batch equivalent used for fast execution.
 
 from __future__ import annotations
 
-import inspect
-
 import numpy as np
 
 from ..gpu.kernel import Kernel, ThreadContext
@@ -72,17 +70,21 @@ def build_neighborhood_kernel(
     """Create the evaluation kernel for ``problem`` explored with ``neighborhood``.
 
     The kernel signature (its ``args`` tuple at launch time) is
-    ``(solution, fitnesses)``:
+    ``(solution, fitnesses[, row])``:
 
     * ``solution`` — the current candidate, a length-``n`` 0/1 vector living
       in (simulated) global memory;
     * ``fitnesses`` — the output array of ``neighborhood.size`` fitness
-      values, one slot per thread.
+      values, one slot per thread;
+    * ``row`` — optional global replica id of ``solution``, which lets the
+      problem's incremental gain engine serve the evaluation.
     """
     mapping = neighborhood.mapping
     size = neighborhood.size
 
-    def thread_fn(ctx: ThreadContext, solution: np.ndarray, fitnesses: np.ndarray) -> None:
+    def thread_fn(
+        ctx: ThreadContext, solution: np.ndarray, fitnesses: np.ndarray, row=None
+    ) -> None:
         # Literal transcription of the paper's kernels:
         #   int move_index = blockIdx.x * blockDim.x + threadIdx.x;
         #   if (move_index < N) {
@@ -94,21 +96,15 @@ def build_neighborhood_kernel(
             move = mapping.from_flat(move_index)
             fitnesses[move_index] = problem.delta_evaluate(solution, move)
 
-    # The full move table is a pure function of the neighborhood: build it
-    # once per kernel instead of re-deriving it every launch, and freeze it so
-    # problems can cache per-table preprocessing keyed on its identity.
-    full_moves: list[np.ndarray | None] = [None]
-
-    def _full_moves() -> np.ndarray:
-        if full_moves[0] is None:
-            moves = mapping.from_flat_batch(np.arange(size, dtype=np.int64))
-            moves.setflags(write=False)
-            full_moves[0] = moves
-        return full_moves[0]
-
-    def vectorized_fn(tids: np.ndarray, solution: np.ndarray, fitnesses: np.ndarray) -> None:
+    def vectorized_fn(
+        tids: np.ndarray, solution: np.ndarray, fitnesses: np.ndarray, row=None
+    ) -> None:
         if tids.size == size and tids.size and tids[0] == 0 and tids[-1] == size - 1:
-            fitnesses[:size] = problem.evaluate_neighborhood(solution, _full_moves())
+            # The neighborhood's shared frozen move table: one table for
+            # every kernel and device, so per-table preprocessing binds once.
+            fitnesses[:size] = problem.evaluate_neighborhood(
+                solution, neighborhood.moves(), row=row
+            )
             return
         moves = mapping.from_flat_batch(tids)
         fitnesses[tids] = problem.evaluate_neighborhood(solution, moves)
@@ -131,17 +127,22 @@ def build_batch_neighborhood_kernel(
 
     One thread per (replica, neighbor) pair over a logical ``(S, M)`` work
     shape: thread ``t`` evaluates neighbor ``t % M`` of solution ``t // M``.
-    The kernel's ``args`` tuple is ``(solutions, fitnesses)`` where
-    ``solutions`` is the ``(S, n)`` block of current candidates and
-    ``fitnesses`` a flat array of ``S * M`` output slots.  The per-thread
-    cost profile is identical to the single-solution kernel — batching
-    multiplies the thread count, not the per-thread work — which is exactly
-    why the launch amortizes its fixed overhead over ``S`` replicas.
+    The kernel's ``args`` tuple is ``(solutions, fitnesses[, rows])`` where
+    ``solutions`` is the ``(S, n)`` block of current candidates,
+    ``fitnesses`` a flat array of ``S * M`` output slots and ``rows`` the
+    optional global replica ids of the ``S`` solutions (the key of the
+    problem's incremental gain engine, whichever device runs the launch).
+    The per-thread cost profile is identical to the single-solution kernel
+    — batching multiplies the thread count, not the per-thread work — which
+    is exactly why the launch amortizes its fixed overhead over ``S``
+    replicas.
     """
     mapping = neighborhood.mapping
     size = neighborhood.size
 
-    def thread_fn(ctx: ThreadContext, solutions: np.ndarray, fitnesses: np.ndarray) -> None:
+    def thread_fn(
+        ctx: ThreadContext, solutions: np.ndarray, fitnesses: np.ndarray, rows=None
+    ) -> None:
         # The paper's kernel with a second logical axis:
         #   int tid = blockIdx.x * blockDim.x + threadIdx.x;
         #   int replica = tid / M, move_index = tid % M;
@@ -152,35 +153,24 @@ def build_batch_neighborhood_kernel(
             move = mapping.from_flat(move_index)
             fitnesses[tid] = problem.delta_evaluate(solutions[replica], move)
 
-    # Launch-invariant state, computed once: the full move table (frozen so
-    # the problem can cache per-table preprocessing keyed on its identity)
-    # and whether the problem's batch evaluation can write output in place.
-    full_moves: list[np.ndarray | None] = [None]
-    accepts_out = "out" in inspect.signature(problem.evaluate_neighborhood_batch).parameters
-
-    def _full_moves() -> np.ndarray:
-        if full_moves[0] is None:
-            moves = mapping.from_flat_batch(np.arange(size, dtype=np.int64))
-            moves.setflags(write=False)
-            full_moves[0] = moves
-        return full_moves[0]
-
-    def vectorized_fn(tids: np.ndarray, solutions: np.ndarray, fitnesses: np.ndarray) -> None:
+    def vectorized_fn(
+        tids: np.ndarray, solutions: np.ndarray, fitnesses: np.ndarray, rows=None
+    ) -> None:
         num_solutions = solutions.shape[0]
         total = num_solutions * size
         if tids.size == total and tids.size:
-            # Full batch: one broadcast delta evaluation over all replicas.
-            # The launcher hands us a contiguous id range, so the scores land
-            # in the output buffer without an S*M fancy-index scatter.
-            moves = _full_moves()
+            # Full batch: one broadcast delta evaluation over all replicas,
+            # on the neighborhood's shared frozen move table.  The launcher
+            # hands us a contiguous id range, so the scores land in the
+            # output buffer without an S*M fancy-index scatter.
+            moves = neighborhood.moves()
             if tids[0] == 0 and tids[-1] == total - 1:
                 view = fitnesses[:total].reshape(num_solutions, size)
-                if accepts_out and view.flags.c_contiguous:
-                    problem.evaluate_neighborhood_batch(solutions, moves, out=view)
-                else:
-                    view[...] = problem.evaluate_neighborhood_batch(solutions, moves)
+                problem.evaluate_neighborhood_batch(solutions, moves, out=view, rows=rows)
             else:
-                fitnesses[tids] = problem.evaluate_neighborhood_batch(solutions, moves).ravel()
+                fitnesses[tids] = problem.evaluate_neighborhood_batch(
+                    solutions, moves, rows=rows
+                ).ravel()
             return
         # Partial coverage (e.g. a multi-device slice of the flat index
         # space): evaluate each replica's contiguous run of neighbors.

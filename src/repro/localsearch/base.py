@@ -251,8 +251,8 @@ class NeighborhoodLocalSearch(abc.ABC):
                     break
 
                 # Generate + evaluate the whole neighborhood (the GPU step).
-                if engine is not None:
-                    engine.expect(row0)
+                # The search's one replica is row 0 of the gain engine; the
+                # resident session's replica 0 names the same row.
                 if self.transfer_mode in REDUCED_SELECTION_MODES:
                     # Fused neighborhood+reduction launch (inside the run's one
                     # persistent launch under "persistent"): only the best
@@ -268,7 +268,7 @@ class NeighborhoodLocalSearch(abc.ABC):
                     if resident:
                         fitnesses = self.evaluator.evaluate_resident()[0]
                     else:
-                        fitnesses = self.evaluator.evaluate(current)
+                        fitnesses = self.evaluator.evaluate(current, row=0)
                     selected = self.select_move(
                         fitnesses, current_fitness, best_fitness, iteration, rng
                     )

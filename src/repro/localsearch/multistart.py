@@ -685,11 +685,9 @@ class MultiStartRunner:
                 if rebalance and lockstep and lockstep % rebalance == 0:
                     # Timing/placement only: keep the still-active replicas split
                     # proportionally to device throughput (trajectories unchanged).
+                    # The gain engine keys on global replica ids, so it keeps
+                    # its state across the migration.
                     self.evaluator.rebalance_resident(active=active)
-                    if gain_engine is not None:
-                        # Replica placement moved; drop derived gain state and
-                        # let it re-derive at the next evaluation.
-                        gain_engine.invalidate_all()
                 lockstep += 1
                 active_idx = np.nonzero(active)[0]
 
@@ -697,8 +695,6 @@ class MultiStartRunner:
                 # single S x M GPU launch of the solution-parallel engine).
                 step_wall = time.perf_counter()
                 step_sim = self.evaluator.stats.simulated_time
-                if gain_engine is not None:
-                    gain_engine.expect(active_idx)
                 sub_last = last_applied[active_idx] if last_applied is not None else None
                 if reduced_path:
                     indices, selected_fitness, optima = self._select_reduced(
@@ -712,7 +708,9 @@ class MultiStartRunner:
                     if resident:
                         fitnesses = self.evaluator.evaluate_resident(active_idx)
                     else:
-                        fitnesses = self.evaluator.evaluate_many(current[active_idx])
+                        fitnesses = self.evaluator.evaluate_many(
+                            current[active_idx], rows=active_idx
+                        )
                     indices, selected_fitness, optima = self._select(
                         fitnesses,
                         current_fitness[active_idx],

@@ -57,9 +57,21 @@ class Neighborhood(abc.ABC):
 
     # ------------------------------------------------------------------
     def moves(self, indices: np.ndarray | None = None) -> np.ndarray:
-        """Materialise the moves for ``indices`` (default: the whole neighborhood)."""
+        """Materialise the moves for ``indices`` (default: the whole neighborhood).
+
+        The whole neighborhood is built once and returned *frozen*
+        (read-only) on every call: this one table is shared by every
+        kernel, evaluator and device exploring the neighborhood, so the
+        problems' fast scorers and the gain engine, which key their
+        per-table preprocessing on its identity, bind it once.
+        """
         if indices is None:
-            return self.mapping.all_moves()
+            table = self.__dict__.get("_full_moves")
+            if table is None:
+                table = self.mapping.all_moves()
+                table.setflags(write=False)
+                self._full_moves = table
+            return table
         return self.mapping.from_flat_batch(np.asarray(indices, dtype=np.int64))
 
     def partition(self, parts: int) -> list[NeighborhoodSlice]:

@@ -153,8 +153,9 @@ def _worker_main(worker_id, num_workers, conn, sol_shm, out_shm):  # pragma: no 
     - ``("attach", problem)``   — new problem instance (pool-less pickle)
     - ``("table", key, moves)`` — cache a frozen move table under ``key``
     - ``("drop", key)``         — evict a cached table
-    - ``("eval", S, n, M, key, ops)`` — apply buffered gain-cache ops, then
-      score rows ``[lo, hi)`` of the shm block
+    - ``("eval", S, n, M, key, ops, rows)`` — apply buffered gain-cache
+      ops, then score rows ``[lo, hi)`` of the shm block (``rows``: the
+      batch's global replica ids, or ``None``)
     - ``("update", ops)``       — apply gain-cache ops without evaluating
     - ``("stop",)``             — exit
 
@@ -162,15 +163,15 @@ def _worker_main(worker_id, num_workers, conn, sol_shm, out_shm):  # pragma: no 
 
     Each worker maintains its own shard-local incremental gain engine
     (:mod:`repro.problems.incremental`): the parent forwards the search
-    loop's expect/commit/reset stream (piggybacked on ``eval`` — far below
-    the dispatch threshold, the ops never pay their own IPC round trip) and
-    the worker's engine serves its replica shard from maintained state,
+    loop's commit/reset stream (piggybacked on ``eval`` — far below the
+    dispatch threshold, the ops never pay their own IPC round trip) plus
+    the batch's global replica ids, and the worker's engine serves its
+    replica shard from maintained state by global row,
     self-healing any replica whose shared-memory row diverged (migration,
     rebalance, faults, checkpoint restore).
     """
     problem = None
     tables: dict[int, np.ndarray] = {}
-    gain_expect = None
     while True:
         try:
             msg = conn.recv()
@@ -184,7 +185,6 @@ def _worker_main(worker_id, num_workers, conn, sol_shm, out_shm):  # pragma: no 
             if cmd == "attach":
                 problem = msg[1]
                 tables.clear()
-                gain_expect = None
                 attach_gain_engine(problem, create_gain_engine(problem))
             elif cmd == "table":
                 arr = np.asarray(msg[2], dtype=np.int64)
@@ -195,26 +195,22 @@ def _worker_main(worker_id, num_workers, conn, sol_shm, out_shm):  # pragma: no 
             elif cmd == "update":
                 engine = getattr(problem, "_gain_engine", None)
                 if engine is not None:
-                    expect = engine.apply_ops(msg[1])
-                    if expect is not None:
-                        gain_expect = expect
+                    engine.apply_ops(msg[1])
             elif cmd == "eval":
-                _, num_rows, n, num_moves, key, ops = msg
+                _, num_rows, n, num_moves, key, ops, rows = msg
                 engine = getattr(problem, "_gain_engine", None)
                 if engine is not None and ops:
-                    expect = engine.apply_ops(ops)
-                    if expect is not None:
-                        gain_expect = expect
+                    engine.apply_ops(ops)
                 lo, hi = shard_bounds(num_rows, num_workers, worker_id)
                 if lo < hi:
-                    if engine is not None:
-                        if gain_expect is not None and gain_expect.shape[0] == num_rows:
-                            engine.set_expected(gain_expect[lo:hi])
-                        else:
-                            engine.set_expected(None)
                     sol = np.ndarray((num_rows, n), dtype=np.int8, buffer=sol_shm.buf)
                     out = np.ndarray((num_rows, num_moves), dtype=np.float64, buffer=out_shm.buf)
-                    problem.evaluate_neighborhood_batch(sol[lo:hi], tables[key], out=out[lo:hi])
+                    problem.evaluate_neighborhood_batch(
+                        sol[lo:hi],
+                        tables[key],
+                        out=out[lo:hi],
+                        rows=None if rows is None else rows[lo:hi],
+                    )
             else:
                 raise ValueError(f"unknown pool command {cmd!r}")
             conn.send(("ok",))
@@ -395,6 +391,7 @@ class HostWorkerPool:
         moves: np.ndarray,
         *,
         out: np.ndarray | None = None,
+        rows: np.ndarray | None = None,
     ) -> np.ndarray | None:
         """Shard one batched evaluation across the workers, or decline.
 
@@ -416,22 +413,20 @@ class HostWorkerPool:
             return None
         if num_rows * n > self.solution_capacity or num_rows * num_moves > self.out_capacity:
             return None
-        # Lazy gain-cache sync: the buffered expect/commit/reset ops ride the
-        # eval broadcast (update payloads are tiny — far below the dispatch
+        # Lazy gain-cache sync: the buffered commit/reset ops ride the eval
+        # broadcast (update payloads are tiny — far below the dispatch
         # threshold — so they must never pay their own IPC round trip; when
-        # the pool declines an eval they simply stay buffered).  The workers
-        # serve this evaluation, so the parent engine's pending expectation
-        # is dropped — its own rows heal on the next local evaluation.
+        # the pool declines an eval they simply stay buffered), and so do
+        # the batch's global replica ids, which the worker engines key on.
         ops: list = []
         engine = getattr(problem, "_gain_engine", None)
         if engine is not None:
             ops = engine.drain_ops()
-            engine.set_expected(None)
         try:
             key = self._ensure_table(moves)
             sol_view = np.ndarray((num_rows, n), dtype=np.int8, buffer=self._sol_shm.buf)
             np.copyto(sol_view, solutions)
-            self._broadcast(("eval", num_rows, n, num_moves, key, ops))
+            self._broadcast(("eval", num_rows, n, num_moves, key, ops, rows))
             if ops:
                 self.update_count += 1
         except WorkerDied:

@@ -96,6 +96,7 @@ class BinaryProblem(abc.ABC):
         moves: np.ndarray,
         *,
         chunk: int = DEFAULT_CHUNK,
+        row: int | None = None,
     ) -> np.ndarray:
         """Fitness of every neighbor reached from ``solution`` by ``moves``.
 
@@ -104,13 +105,14 @@ class BinaryProblem(abc.ABC):
         chunks and calls :meth:`evaluate_batch`; problems providing
         incremental (delta) evaluation override this with a much cheaper
         computation — this is the code path that corresponds to the paper's
-        per-thread ``compute_fitness`` kernels.
+        per-thread ``compute_fitness`` kernels.  ``row``, the global replica
+        id of ``solution``, lets the attached gain engine serve the call.
         """
         solution = as_solution(solution, self.n)
         moves = np.asarray(moves, dtype=np.int64)
         if moves.ndim != 2:
             raise ValueError(f"expected an (num_moves, k) move array, got {moves.shape}")
-        incremental = self._dispatch_gain_engine_scalar(solution, moves)
+        incremental = self._dispatch_gain_engine_scalar(solution, moves, row)
         if incremental is not None:
             return incremental
         num_moves = moves.shape[0]
@@ -151,6 +153,7 @@ class BinaryProblem(abc.ABC):
         moves: np.ndarray,
         *,
         out: np.ndarray | None = None,
+        rows: np.ndarray | None = None,
     ) -> np.ndarray:
         """Fitness of every neighbor of every solution: an ``(S, M)`` matrix.
 
@@ -161,7 +164,9 @@ class BinaryProblem(abc.ABC):
         unit of work of the solution-parallel execution engine: one batched
         GPU launch evaluates all ``S x M`` (replica, neighbor) pairs.
         ``out``, when given, must be an ``(S, M)`` float64 array and is
-        written in place.
+        written in place.  ``rows``, when given, holds the global replica id
+        of each solution row; only such calls can be served by the attached
+        gain engine.
 
         The generic fallback applies the (already chunked)
         :meth:`evaluate_neighborhood` row by row; workloads with a
@@ -169,70 +174,59 @@ class BinaryProblem(abc.ABC):
         vectorized over the solution axis as well.
         """
         solutions, moves = self._check_batch_args(solutions, moves)
-        sharded = self._dispatch_host_pool(solutions, moves, out)
-        if sharded is not None:
-            return sharded
-        incremental = self._dispatch_gain_engine(solutions, moves, out)
-        if incremental is not None:
-            return incremental
+        served = self._dispatch_batch(solutions, moves, out, rows)
+        if served is not None:
+            return served
         if out is None:
             out = np.empty((solutions.shape[0], moves.shape[0]), dtype=np.float64)
         for s in range(solutions.shape[0]):
             out[s] = self.evaluate_neighborhood(solutions[s], moves)
         return out
 
-    def _dispatch_host_pool(
+    def _dispatch_batch(
         self,
         solutions: np.ndarray,
         moves: np.ndarray,
         out: np.ndarray | None,
+        rows: np.ndarray | None,
     ) -> np.ndarray | None:
-        """Shard this batch across the attached host worker pool, if any.
+        """Serve this batch from the host worker pool or the gain engine.
 
-        Returns ``None`` when no pool is attached or the pool declines the
-        call (shards too small to pay off, writable move table, capacity
-        exceeded) — the caller then evaluates locally.  Every concrete
-        ``evaluate_neighborhood_batch`` consults this hook right after
-        argument validation, so the sharded and local paths share one entry
-        point on every problem.
+        Every concrete ``evaluate_neighborhood_batch`` consults this hook
+        right after argument validation, so the sharded, incremental and
+        local paths share one entry point on every problem.  The attached
+        worker pool (:func:`repro.parallel.host_parallel`) shards the batch
+        across processes, forwarding ``rows`` to the worker-side engines;
+        otherwise the attached gain engine serves it when ``rows`` names the
+        replicas.  Returns ``None`` when neither is attached or both decline
+        (shards too small, no rows, unbound/foreign or writable move table,
+        oversized scratch) — the caller then recomputes, bit-identically.
         """
         pool = self._host_pool
-        if pool is None:
-            return None
-        return pool.try_evaluate(self, solutions, moves, out=out)
-
-    def _dispatch_gain_engine(
-        self,
-        solutions: np.ndarray,
-        moves: np.ndarray,
-        out: np.ndarray | None,
-    ) -> np.ndarray | None:
-        """Serve this batch from the attached incremental gain cache, if any.
-
-        Returns ``None`` when no engine is attached or the engine declines
-        (no expected-row declaration, unbound/foreign move table, oversized
-        scratch) — the caller then recomputes, which is bit-identical.
-        Concrete ``evaluate_neighborhood_batch`` implementations consult this
-        hook right after the host-pool dispatch.
-        """
+        if pool is not None:
+            sharded = pool.try_evaluate(self, solutions, moves, out=out, rows=rows)
+            if sharded is not None:
+                return sharded
         engine = self._gain_engine
-        if engine is None:
+        if engine is None or rows is None:
             return None
-        return engine.try_evaluate(solutions, moves, out)
+        return engine.try_evaluate(solutions, moves, out, rows=rows)
 
     def _dispatch_gain_engine_scalar(
-        self, solution: np.ndarray, moves: np.ndarray
+        self, solution: np.ndarray, moves: np.ndarray, row: int | None
     ) -> np.ndarray | None:
-        """Single-replica (S=1) variant of :meth:`_dispatch_gain_engine`.
+        """Single-replica (S=1) variant of :meth:`_dispatch_batch`.
 
-        The scalar search loop maintains the same engine through a one-row
-        mirror; scalar ``evaluate_neighborhood`` overrides consult this hook
+        The scalar search loop maintains the same engine for its one
+        replica; scalar ``evaluate_neighborhood`` overrides consult this hook
         right after argument validation, ahead of their own delta evaluation.
         """
         engine = self._gain_engine
-        if engine is None:
+        if engine is None or row is None:
             return None
-        served = engine.try_evaluate(solution[None, :], moves, None)
+        served = engine.try_evaluate(
+            solution[None, :], moves, None, rows=np.array([row], dtype=np.int64)
+        )
         if served is None:
             return None
         return served[0]

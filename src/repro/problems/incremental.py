@@ -34,11 +34,6 @@ import numpy as np
 
 from .fastpath import BoundedCache, fast_path_enabled
 
-try:  # pragma: no cover - exercised implicitly on scipy-equipped hosts
-    from scipy.linalg.blas import sgemm as _sgemm
-except Exception:  # pragma: no cover - scipy-less fallback
-    _sgemm = None
-
 __all__ = [
     "GainEngine",
     "attach_gain_engine",
@@ -50,7 +45,7 @@ __all__ = [
 _ENV = "REPRO_INCREMENTAL"
 _CHECK_ENV = "REPRO_INCREMENTAL_CHECK"
 
-#: Commit/expect ops buffered for the host-worker pool collapse to a single
+#: Commit ops buffered for the host-worker pool collapse to a single
 #: full reset beyond this many entries (nothing is lost — worker rows
 #: re-derive from the shared-memory solutions at the next dispatched eval).
 OPS_BUFFER_CAP = 256
@@ -157,7 +152,6 @@ def _ppp_coupling(scorer, table):
     p_mat[cols_i, mv] += 1.0
     p_mat[cols_j, mv] += 1.0
     p_mat[n] = 1.0
-    p_t = np.ascontiguousarray(p_mat.T)  # (M, n+1); p_t.T is the F-order operand
     # Padded per-bit move incidence (rows of unequal degree pad to M, the
     # sentinel column of the maintained sign-pair matrix).
     counts = np.bincount(cols_i, minlength=n) + np.bincount(cols_j, minlength=n)
@@ -170,7 +164,7 @@ def _ppp_coupling(scorer, table):
     np.cumsum(counts[:-1], out=starts[1:])
     slot = np.arange(flat_bits.size, dtype=np.int64) - starts[flat_bits]
     touch[flat_bits, slot] = flat_moves
-    coupling = (aa, p_mat, p_t, touch)
+    coupling = (aa, p_mat, touch)
     _PPP_COUPLING_CACHE.put(key, (scorer, table.moves, coupling))
     return coupling
 
@@ -202,7 +196,7 @@ class _PPPGainState(_GainStateBase):
         self.n, self.m = n, m
         self.num_moves = table.num_moves
         self.pq, self.pl, self.bsum_t, self.base_off, self.a_f32 = _merged_ppp_tables(scorer)
-        self.aa, self.p_mat, self.p_t, self.touch = _ppp_coupling(scorer, table)
+        self.aa, self.p_mat, self.touch = _ppp_coupling(scorer, table)
         self.rp = self.pq.shape[0]
         self.zdim = self.bsum_t.shape[0]
         rows = max(rows, 1)
@@ -301,12 +295,7 @@ class _PPPGainState(_GainStateBase):
         hb3 = hb.reshape(rp, count, n + 1)
         hb3[:, :, :n] *= self.V[rows]
         hb3[:, :, n] = base.T
-        if _sgemm is not None:
-            # G += hb @ P fused into the GEMM: C-order G viewed as F-order
-            # G.T, accumulated in place with beta=1.
-            _sgemm(1.0, self.p_t.T, hb.T, beta=1.0, c=G.T, overwrite_c=1, trans_a=1)
-        else:
-            G += np.matmul(hb, self.p_mat)
+        G += np.matmul(hb, self.p_mat)
         occ = G3[1:]
         np.abs(occ, out=occ)
         np.add.reduce(G3, axis=0, out=total)
@@ -635,12 +624,15 @@ _STATE_BUILDERS = {
 class GainEngine:
     """Self-healing incremental neighborhood evaluator for one search run.
 
-    The engine binds the first frozen (read-only) move table it sees, keeps
-    a mirror of the solution block it believes each replica holds, and
+    The engine binds the first frozen (read-only) move table it sees — the
+    neighborhood's shared full table, so every kernel and device shard of a
+    run hits the same binding — keeps a mirror of the solution block it
+    believes each replica holds, indexed by global replica id, and
     maintains the per-problem gain state through :meth:`commit` calls from
     the search loop.  :meth:`try_evaluate` — consulted by every problem's
-    ``evaluate_neighborhood_batch`` — verifies the mirror against the actual
-    inputs and silently re-derives any diverged row, which makes every
+    ``evaluate_neighborhood_batch`` called with ``rows`` — verifies the
+    mirror against the actual inputs and silently re-derives any diverged
+    row, which makes every
     invalidation path (restarts, perturbations, kicks, migration, restore)
     correct by construction; :meth:`invalidate_all` exists as an explicit
     belt-and-braces hook for fault events.  Anything outside the compiled
@@ -660,7 +652,6 @@ class GainEngine:
         self._rows_hint = max(int(rows_hint), 1)
         self.mirror = np.zeros((self._rows_hint, getattr(problem, "n", 1)), dtype=np.int8)
         self.valid = np.zeros(self._rows_hint, dtype=bool)
-        self._expected: np.ndarray | None = None
         self._ops: list = []
         self._check_every = check_period()
         self.stats = {
@@ -685,12 +676,6 @@ class GainEngine:
             self._state.grow(rows)
 
     # -- search-loop interface -------------------------------------------
-    def expect(self, rows: np.ndarray) -> None:
-        """Declare the global replica ids of the next evaluation's rows."""
-        rows = np.asarray(rows, dtype=np.int64)
-        self._expected = rows
-        self._buffer_op(("expect", rows.copy()))
-
     def commit(self, rows: np.ndarray, bits: np.ndarray) -> None:
         """Advance the gain state: ``bits[c]`` were flipped on ``rows[c]``."""
         rows = np.asarray(rows, dtype=np.int64)
@@ -742,39 +727,37 @@ class GainEngine:
         ops, self._ops = self._ops, []
         return ops
 
-    def apply_ops(self, ops) -> np.ndarray | None:
-        """Apply a drained op sequence (worker side); returns the last
-        expected-row declaration, if any."""
-        expected = None
+    def apply_ops(self, ops) -> None:
+        """Apply a drained op sequence (worker side)."""
         for op in ops:
-            kind = op[0]
-            if kind == "reset":
+            if op[0] == "reset":
                 self.valid[:] = False
-            elif kind == "commit":
+            else:
                 self._commit_local(op[1], op[2])
-            elif kind == "expect":
-                expected = op[1]
-        return expected
-
-    def set_expected(self, rows: np.ndarray | None) -> None:
-        """Directly set the expected rows (worker shard slices)."""
-        self._expected = rows
 
     # -- evaluation --------------------------------------------------------
     def try_evaluate(
         self,
         solutions: np.ndarray,
         moves: np.ndarray,
-        out: np.ndarray | None,
+        out: np.ndarray | None = None,
+        *,
+        rows: np.ndarray,
     ) -> np.ndarray | None:
-        """Serve one batched neighborhood evaluation, or decline (``None``)."""
-        rows = self._expected
-        self._expected = None
+        """Serve one batched neighborhood evaluation, or decline (``None``).
+
+        ``rows`` are the global replica ids of the ``solutions`` rows: the
+        engine's state for replica ``r`` lives in row ``r`` whichever device
+        shard, worker or scalar loop evaluates it.
+        """
         if self._dead:
             return None
-        if rows is None or rows.shape[0] != solutions.shape[0]:
-            self.stats["declined"] += 1
-            return None
+        rows = np.asarray(rows, dtype=np.int64)
+        if rows.shape != (solutions.shape[0],):
+            raise ValueError(
+                f"rows must hold one replica id per solution ({solutions.shape[0]}), "
+                f"got shape {rows.shape}"
+            )
         if self._state is None:
             if moves.flags.writeable:
                 self.stats["declined"] += 1
@@ -812,22 +795,14 @@ class GainEngine:
         return out
 
     def _debug_check(self, solutions, moves, got) -> None:
-        """Periodic re-sync assert: recompute without the engine, compare."""
-        prob = self.problem
-        engine = getattr(prob, "_gain_engine", None)
-        pool = getattr(prob, "_host_pool", None)
-        prob._gain_engine = None
-        prob._host_pool = None
-        try:
-            want = prob.evaluate_neighborhood_batch(solutions, moves)
-        finally:
-            prob._gain_engine = engine
-            prob._host_pool = pool
+        """Periodic re-sync assert: recompute without rows (never served by
+        an engine), compare."""
+        want = self.problem.evaluate_neighborhood_batch(solutions, moves)
         self.stats["checks"] += 1
         if not np.array_equal(want, got):
             raise AssertionError(
                 "incremental gain-cache diverged from the recompute path "
-                f"(problem={prob.name}, rows={solutions.shape[0]})"
+                f"(problem={self.problem.name}, rows={solutions.shape[0]})"
             )
 
 

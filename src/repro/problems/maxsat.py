@@ -344,7 +344,7 @@ class MaxSat(BinaryProblem):
             raise ValueError(f"expected a (batch, {self.n}) array, got {solutions.shape}")
         return self._unsatisfied(solutions).astype(np.float64)
 
-    def evaluate_neighborhood_batch(self, solutions, moves, *, out=None) -> np.ndarray:
+    def evaluate_neighborhood_batch(self, solutions, moves, *, out=None, rows=None) -> np.ndarray:
         """Vectorized (replica, move) scoring with delta fast path.
 
         Dispatches to the clause-incidence scorer (:class:`_MaxSatFastScorer`)
@@ -354,12 +354,9 @@ class MaxSat(BinaryProblem):
         given, must be a ``(S, M)`` float64 array and is written in place.
         """
         solutions, moves = self._check_batch_args(solutions, moves)
-        sharded = self._dispatch_host_pool(solutions, moves, out)
-        if sharded is not None:
-            return sharded
-        incremental = self._dispatch_gain_engine(solutions, moves, out)
-        if incremental is not None:
-            return incremental
+        served = self._dispatch_batch(solutions, moves, out, rows)
+        if served is not None:
+            return served
         num_solutions = solutions.shape[0]
         num_moves = moves.shape[0]
         scorer = self._fast()

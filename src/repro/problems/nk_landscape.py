@@ -244,7 +244,7 @@ class NKLandscape(BinaryProblem):
         contrib = self._contributions(solutions)
         return 1.0 - contrib.mean(axis=1)
 
-    def evaluate_neighborhood_batch(self, solutions, moves, *, out=None) -> np.ndarray:
+    def evaluate_neighborhood_batch(self, solutions, moves, *, out=None, rows=None) -> np.ndarray:
         """Vectorized (replica, move) scoring with delta fast path.
 
         Dispatches to the subfunction-mask scorer (:class:`_NKFastScorer`)
@@ -254,12 +254,9 @@ class NKLandscape(BinaryProblem):
         must be a ``(S, M)`` float64 array and is written in place.
         """
         solutions, moves = self._check_batch_args(solutions, moves)
-        sharded = self._dispatch_host_pool(solutions, moves, out)
-        if sharded is not None:
-            return sharded
-        incremental = self._dispatch_gain_engine(solutions, moves, out)
-        if incremental is not None:
-            return incremental
+        served = self._dispatch_batch(solutions, moves, out, rows)
+        if served is not None:
+            return served
         num_solutions = solutions.shape[0]
         scorer = self._fast()
         if scorer is not None and num_solutions and moves.shape[0]:

@@ -35,12 +35,14 @@ class OneMax(BinaryProblem):
             raise ValueError(f"expected a (batch, {self.n}) array, got {solutions.shape}")
         return (self.n - solutions.sum(axis=1)).astype(np.float64)
 
-    def evaluate_neighborhood(self, solution, moves, *, chunk: int = 1 << 20) -> np.ndarray:
+    def evaluate_neighborhood(
+        self, solution, moves, *, chunk: int = 1 << 20, row: int | None = None
+    ) -> np.ndarray:
         solution = as_solution(solution, self.n)
         moves = np.asarray(moves, dtype=np.int64)
         if moves.ndim != 2:
             raise ValueError(f"expected an (num_moves, k) move array, got {moves.shape}")
-        incremental = self._dispatch_gain_engine_scalar(solution, moves)
+        incremental = self._dispatch_gain_engine_scalar(solution, moves, row)
         if incremental is not None:
             return incremental
         base = self.n - int(solution.sum())
@@ -48,14 +50,11 @@ class OneMax(BinaryProblem):
         delta = (1 - 2 * solution.astype(np.int64))[moves].sum(axis=1)
         return (base - delta).astype(np.float64)
 
-    def evaluate_neighborhood_batch(self, solutions, moves, *, out=None) -> np.ndarray:
+    def evaluate_neighborhood_batch(self, solutions, moves, *, out=None, rows=None) -> np.ndarray:
         solutions, moves = self._check_batch_args(solutions, moves)
-        sharded = self._dispatch_host_pool(solutions, moves, out)
-        if sharded is not None:
-            return sharded
-        incremental = self._dispatch_gain_engine(solutions, moves, out)
-        if incremental is not None:
-            return incremental
+        served = self._dispatch_batch(solutions, moves, out, rows)
+        if served is not None:
+            return served
         base = self.n - solutions.sum(axis=1, dtype=np.int64)  # (S,)
         d = 1 - 2 * solutions.astype(np.int64)  # (S, n)
         delta = d[:, moves].sum(axis=2)  # (S, M)

@@ -416,6 +416,7 @@ class PermutedPerceptronProblem(BinaryProblem):
         moves: np.ndarray,
         *,
         chunk: int = 8_192,
+        row: int | None = None,
     ) -> np.ndarray:
         """Delta evaluation of every neighbor reached by ``moves``.
 
@@ -429,7 +430,7 @@ class PermutedPerceptronProblem(BinaryProblem):
         moves = np.asarray(moves, dtype=np.int64)
         if moves.ndim != 2:
             raise ValueError(f"expected an (num_moves, k) move array, got {moves.shape}")
-        incremental = self._dispatch_gain_engine_scalar(solution, moves)
+        incremental = self._dispatch_gain_engine_scalar(solution, moves, row)
         if incremental is not None:
             return incremental
         num_moves, k = moves.shape
@@ -463,6 +464,7 @@ class PermutedPerceptronProblem(BinaryProblem):
         *,
         element_budget: int = 4_194_304,
         out: np.ndarray | None = None,
+        rows: np.ndarray | None = None,
     ) -> np.ndarray:
         """Delta evaluation of ``moves`` applied to every row of ``solutions``.
 
@@ -475,12 +477,9 @@ class PermutedPerceptronProblem(BinaryProblem):
         array and is written in place.
         """
         solutions, moves = self._check_batch_args(solutions, moves)
-        sharded = self._dispatch_host_pool(solutions, moves, out)
-        if sharded is not None:
-            return sharded
-        incremental = self._dispatch_gain_engine(solutions, moves, out)
-        if incremental is not None:
-            return incremental
+        served = self._dispatch_batch(solutions, moves, out, rows)
+        if served is not None:
+            return served
         num_solutions = solutions.shape[0]
         num_moves = moves.shape[0]
         scorer = self._fast()

@@ -210,7 +210,7 @@ class UBQP(BinaryProblem):
             raise ValueError(f"expected a (batch, {self.n}) array, got {X.shape}")
         return np.einsum("bi,ij,bj->b", X, self.Q, X)
 
-    def evaluate_neighborhood(self, solution, moves) -> np.ndarray:
+    def evaluate_neighborhood(self, solution, moves, *, row: int | None = None) -> np.ndarray:
         """Incremental evaluation of k-bit flips.
 
         For a flip of bit ``p`` (``x_p -> 1 - x_p``, i.e. ``d_p = 1 - 2 x_p``)
@@ -227,7 +227,8 @@ class UBQP(BinaryProblem):
         moves = np.asarray(moves, dtype=np.int64)
         if moves.ndim != 2:
             raise ValueError(f"expected an (num_moves, k) move array, got {moves.shape}")
-        return self.evaluate_neighborhood_batch(x[None, :], moves)[0]
+        rows = None if row is None else np.array([row], dtype=np.int64)
+        return self.evaluate_neighborhood_batch(x[None, :], moves, rows=rows)[0]
 
     def evaluate_neighborhood_batch(
         self,
@@ -236,6 +237,7 @@ class UBQP(BinaryProblem):
         *,
         element_budget: int = 4_194_304,
         out: np.ndarray | None = None,
+        rows: np.ndarray | None = None,
     ) -> np.ndarray:
         """Incremental k-flip evaluation broadcast over the solution axis.
 
@@ -248,12 +250,9 @@ class UBQP(BinaryProblem):
         array and is written in place.
         """
         solutions, moves = self._check_batch_args(solutions, moves)
-        sharded = self._dispatch_host_pool(solutions, moves, out)
-        if sharded is not None:
-            return sharded
-        incremental = self._dispatch_gain_engine(solutions, moves, out)
-        if incremental is not None:
-            return incremental
+        served = self._dispatch_batch(solutions, moves, out, rows)
+        if served is not None:
+            return served
         num_solutions = solutions.shape[0]
         num_moves = moves.shape[0]
         scorer = self._fast()

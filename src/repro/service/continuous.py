@@ -445,18 +445,14 @@ class ContinuousRunner(MultiStartRunner):
             and self.lockstep
             and self.lockstep % self.rebalance_every == 0
         ):
-            # Placement/timing only — trajectories are unchanged; derived
-            # gain state re-derives at the next evaluation.
+            # Placement/timing only — trajectories are unchanged, and the
+            # gain engine keys on slot ids, so its state stays valid.
             self.evaluator.rebalance_resident(active=self.active)
-            if self._gain_engine is not None:
-                self._gain_engine.invalidate_all()
         self.lockstep += 1
         active_idx = np.nonzero(self.active)[0]
 
         step_wall = time.perf_counter()
         step_sim = self.evaluator.stats.simulated_time
-        if self._gain_engine is not None:
-            self._gain_engine.expect(active_idx)
         sub_last = (
             self.last_applied[active_idx] if self.last_applied is not None else None
         )
@@ -472,7 +468,9 @@ class ContinuousRunner(MultiStartRunner):
             if self._resident:
                 fitnesses = self.evaluator.evaluate_resident(active_idx)
             else:
-                fitnesses = self.evaluator.evaluate_many(self.current[active_idx])
+                fitnesses = self.evaluator.evaluate_many(
+                    self.current[active_idx], rows=active_idx
+                )
             indices, selected_fitness, optima = self._select(
                 fitnesses,
                 self.current_fitness[active_idx],

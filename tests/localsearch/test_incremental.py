@@ -12,7 +12,9 @@ host-worker sharding).
 import numpy as np
 import pytest
 
+import repro.localsearch.base as scalar_mod
 import repro.localsearch.multistart as multistart_mod
+import repro.service.continuous as continuous_mod
 from repro.core import CPUEvaluator, GPUEvaluator
 from repro.core.evaluators import MultiGPUEvaluator
 from repro.localsearch import IteratedLocalSearch, MultiStartRunner, TabuSearch
@@ -22,6 +24,7 @@ from repro.parallel import host_parallel, shutdown_host_pool
 from repro.problems import MaxSat, NKLandscape, OneMax, UBQP, generate_random_ksat
 from repro.problems.incremental import GainEngine
 from repro.problems.instances import make_table_instance
+from repro.service import ContinuousRunner
 
 MODES = ("full", "delta", "reduced", "persistent")
 ALGORITHMS = ("tabu", "hill-climbing", "first-improvement")
@@ -97,6 +100,107 @@ class TestLockstepMatrix:
         stats = engines[-1].stats
         assert stats["evals"] > 0, f"engine never served ({stats})"
         assert stats["commits"] > 0
+
+
+SERVING_EVALUATORS = {
+    "cpu": lambda p, nb: CPUEvaluator(p, nb),
+    "gpu": lambda p, nb: GPUEvaluator(p, nb),
+    "multi-gpu-2": lambda p, nb: MultiGPUEvaluator(p, nb, devices=2),
+    "multi-gpu-4": lambda p, nb: MultiGPUEvaluator(p, nb, devices=4),
+}
+DRIVERS = ("tabu", "lockstep", "continuous")
+SERVING_CELLS = (
+    [("cpu", "full"), ("gpu", "full")]
+    + [(key, mode) for key in ("gpu", "multi-gpu-2", "multi-gpu-4") for mode in MODES[1:]]
+)
+#: Multi-GPU full mode splits the flat S x M space mid-replica, so its
+#: slices are recomputed from partial move lists: the one cell the engine
+#: does not serve.
+RECOMPUTE_CELLS = [("multi-gpu-2", "full"), ("multi-gpu-4", "full")]
+
+
+def run_driver(driver, evaluator, mode):
+    """Drive ``evaluator`` with one search driver; returns the number of
+    rows the driver brought in out of band (initial rows, attaches,
+    resumes) — the most the engine may ever derive from scratch."""
+    if driver == "tabu":
+        TabuSearch(evaluator, max_iterations=10, transfer_mode=mode).run(rng=5)
+        return 1
+    if driver == "lockstep":
+        MultiStartRunner(
+            evaluator, max_iterations=10, transfer_mode=mode,
+            target_fitness=float("-inf"),
+        ).run(seeds=range(7))
+        return 7
+    runner = ContinuousRunner(
+        evaluator, capacity=8, transfer_mode=mode, target_fitness=float("-inf")
+    )
+
+    def step(count):
+        for _ in range(count):
+            retired = runner.step().retired
+            if retired:
+                runner.detach(retired)
+
+    with runner:
+        first = runner.attach(seeds=[1, 2, 3], budgets=12)
+        second = runner.attach(seeds=[4, 5], budgets=6)
+        step(3)
+        parked = runner.suspend(first)
+        step(4)
+        third = runner.attach(seeds=[6, 7, 8, 9], budgets=5)
+        step(1)
+        resumed = runner.resume(parked)
+        while runner.num_active:
+            step(1)
+    return first.size + second.size + third.size + resumed.size
+
+
+@pytest.fixture
+def engines(monkeypatch):
+    """Every gain engine the search drivers create, in creation order."""
+    created = []
+    for module in (scalar_mod, multistart_mod, continuous_mod):
+        real_create = module.create_gain_engine
+
+        def probe(problem, rows_hint=0, real_create=real_create):
+            engine = real_create(problem, rows_hint=rows_hint)
+            created.append(engine)
+            return engine
+
+        monkeypatch.setattr(module, "create_gain_engine", probe)
+    return created
+
+
+class TestServingMatrix:
+    """The engine must serve every shard of every evaluator, transfer mode
+    and driver — not merely stay bit-identical by declining."""
+
+    def run_cell(self, engines, key, mode, driver):
+        problem = make_table_instance((16, 16), trial=0)
+        neighborhood = KHammingNeighborhood(problem.n, 2)
+        with SERVING_EVALUATORS[key](problem, neighborhood) as evaluator:
+            out_of_band = run_driver(driver, evaluator, mode)
+            subs = getattr(evaluator, "_sub_evaluators", [evaluator])
+            steps = sum(sub.stats.calls for sub in subs)
+        assert len(engines) == 1
+        return engines[0].stats, steps, out_of_band
+
+    @pytest.mark.parametrize("driver", DRIVERS)
+    @pytest.mark.parametrize("key,mode", SERVING_CELLS)
+    def test_engine_serves_every_shard(self, engines, key, mode, driver):
+        stats, steps, out_of_band = self.run_cell(engines, key, mode, driver)
+        assert steps > 0
+        assert stats["declined"] == 0, stats
+        assert stats["evals"] == steps, stats
+        # A wrong row base re-derives rows every step instead of committing.
+        assert 0 < stats["reinit_rows"] <= out_of_band, stats
+
+    @pytest.mark.parametrize("driver", DRIVERS)
+    @pytest.mark.parametrize("key,mode", RECOMPUTE_CELLS)
+    def test_multi_gpu_full_mode_recomputes(self, engines, key, mode, driver):
+        stats, _steps, _ = self.run_cell(engines, key, mode, driver)
+        assert stats["evals"] == 0 and stats["reinit_rows"] == 0, stats
 
 
 class TestScalarSearches:
@@ -190,6 +294,46 @@ class TestInvalidationPaths:
         monkeypatch.setenv("REPRO_INCREMENTAL", "0")
         assert with_engine == multi_gpu_signature(mode, fault_plan="fail:1@6")
 
+    def test_resync_check_runs_on_every_shard(self, engines, monkeypatch):
+        """REPRO_INCREMENTAL_CHECK=1 recomputes every served shard of a
+        4-device lockstep and asserts it matches."""
+        monkeypatch.setenv("REPRO_INCREMENTAL_CHECK", "1")
+        problem = make_table_instance((16, 16), trial=0)
+        neighborhood = KHammingNeighborhood(problem.n, 2)
+        with MultiGPUEvaluator(problem, neighborhood, devices=4) as evaluator:
+            MultiStartRunner(
+                evaluator, max_iterations=8, transfer_mode="delta",
+                target_fitness=float("-inf"),
+            ).run(seeds=range(8))
+            shards = sum(sub.stats.calls for sub in evaluator._sub_evaluators)
+        (engine,) = engines
+        assert engine.stats["evals"] == shards == 4 * 8
+        assert engine.stats["checks"] == shards
+
+    def test_rebalance_keeps_gain_state(self, engines, monkeypatch):
+        """Engine rows are global replica ids: migrating replicas between
+        devices re-derives nothing beyond the initial rows."""
+        migrated = []
+        real_rebalance = MultiGPUEvaluator.rebalance_resident
+
+        def spy(self, active=None):
+            migrated.append(real_rebalance(self, active))
+            return migrated[-1]
+
+        monkeypatch.setattr(MultiGPUEvaluator, "rebalance_resident", spy)
+        problem = make_table_instance((16, 16), trial=0)
+        neighborhood = KHammingNeighborhood(problem.n, 2)
+        replicas = 12
+        with MultiGPUEvaluator(problem, neighborhood, devices=4) as evaluator:
+            MultiStartRunner(
+                evaluator, algorithm="hill-climbing", max_iterations=20,
+                transfer_mode="delta", rebalance_every=2,
+            ).run(seeds=range(replicas))
+        assert sum(migrated) > 0
+        (engine,) = engines
+        assert engine.stats["declined"] == 0
+        assert engine.stats["reinit_rows"] == replicas
+
     def test_checkpoint_restore_rederives(self, monkeypatch):
         """Gain state is derived data: a restored run (fresh engine, no
         persisted state) must match the uninterrupted engine-off run."""
@@ -239,8 +383,7 @@ class TestPoolUpdateTraffic:
             problem._gain_engine = engine
             try:
                 for _ in range(5):
-                    engine.expect(rows)
-                    problem.evaluate_neighborhood_batch(solutions, moves)
+                    problem.evaluate_neighborhood_batch(solutions, moves, rows=rows)
                     bits = np.stack(
                         [rng.choice(problem.n, size=2, replace=False) for _ in range(4)]
                     ).astype(np.int64)
@@ -266,8 +409,7 @@ class TestPoolUpdateTraffic:
             problem._gain_engine = engine
             try:
                 for _ in range(5):
-                    engine.expect(rows)
-                    problem.evaluate_neighborhood_batch(solutions, moves)
+                    problem.evaluate_neighborhood_batch(solutions, moves, rows=rows)
                     bits = np.stack(
                         [rng.choice(problem.n, size=2, replace=False) for _ in range(4)]
                     ).astype(np.int64)

@@ -44,13 +44,8 @@ def frozen_moves(n: int, order: int) -> np.ndarray:
 
 
 def reference(problem, solutions, moves):
-    """The recompute path, guaranteed engine-free."""
-    engine = problem._gain_engine
-    problem._gain_engine = None
-    try:
-        return problem.evaluate_neighborhood_batch(solutions, moves)
-    finally:
-        problem._gain_engine = engine
+    """The recompute path: a call without rows is never engine-served."""
+    return problem.evaluate_neighborhood_batch(solutions, moves)
 
 
 def random_block(problem, rng, rows):
@@ -60,7 +55,7 @@ def random_block(problem, rng, rows):
 @pytest.mark.parametrize("name", sorted(PROBLEM_FACTORIES))
 @pytest.mark.parametrize("order", [1, 2])
 def test_randomized_commits_stay_bit_identical(name, order):
-    """25 iterations of expect/evaluate/commit match the recompute exactly,
+    """25 iterations of evaluate/commit match the recompute exactly,
     including rows perturbed behind the engine's back (self-heal)."""
     problem = PROBLEM_FACTORIES[name]()
     moves = frozen_moves(problem.n, order)
@@ -72,8 +67,7 @@ def test_randomized_commits_stay_bit_identical(name, order):
 
     served_any = False
     for step in range(25):
-        engine.expect(all_rows)
-        got = engine.try_evaluate(solutions, moves, None)
+        got = engine.try_evaluate(solutions, moves, rows=all_rows)
         want = reference(problem, solutions, moves)
         if got is None:
             # Outside the model (e.g. the PPP state is pair-flip only):
@@ -110,16 +104,14 @@ def test_duplicate_bit_commits_self_heal(name):
     engine = GainEngine(problem, rows_hint=3)
     rows = np.arange(3, dtype=np.int64)
 
-    engine.expect(rows)
-    if engine.try_evaluate(solutions, moves, None) is None:
+    if engine.try_evaluate(solutions, moves, rows=rows) is None:
         pytest.skip("problem declines this move table")
     dup = np.array([[1, 1], [2, 5], [4, 4]], dtype=np.int64)
     engine.commit(rows, dup)
     solutions[rows[:, None], dup] ^= 1  # double flips: rows 0 and 2 unchanged
     assert not engine.valid[0] and engine.valid[1] and not engine.valid[2]
 
-    engine.expect(rows)
-    got = engine.try_evaluate(solutions, moves, None)
+    got = engine.try_evaluate(solutions, moves, rows=rows)
     np.testing.assert_array_equal(got, reference(problem, solutions, moves))
 
 
@@ -132,25 +124,28 @@ def test_declines_without_expected_rows_and_on_foreign_tables():
     engine = GainEngine(problem, rows_hint=2)
     rows = np.arange(2, dtype=np.int64)
 
-    # No expect() declaration -> decline.
-    assert engine.try_evaluate(solutions, moves, None) is None
+    # A problem call without rows never consults the attached engine.
+    prev = attach_gain_engine(problem, engine)
+    try:
+        problem.evaluate_neighborhood_batch(solutions, moves)
+        problem.evaluate_neighborhood(solutions[0], moves)
+    finally:
+        detach_gain_engine(problem, prev)
+    assert engine.stats == GainEngine(problem).stats
 
     # Writable move table -> decline (it may be mutated between calls).
     writable = moves.copy()
-    engine.expect(rows)
-    assert engine.try_evaluate(solutions, writable, None) is None
+    assert engine.try_evaluate(solutions, writable, rows=rows) is None
 
     # Bind the real table, then a different array with equal content must
     # decline: the gain state's coupling indices belong to the bound table.
-    engine.expect(rows)
-    assert engine.try_evaluate(solutions, moves, None) is not None
-    engine.expect(rows)
-    assert engine.try_evaluate(solutions, other, None) is None
-    assert engine.stats["declined"] >= 3
+    assert engine.try_evaluate(solutions, moves, rows=rows) is not None
+    assert engine.try_evaluate(solutions, other, rows=rows) is None
+    assert engine.stats["declined"] == 2
 
-    # Row-count mismatch between expect() and the actual batch -> decline.
-    engine.expect(rows)
-    assert engine.try_evaluate(solutions[:1], moves, None) is None
+    # Row ids must match the batch one to one.
+    with pytest.raises(ValueError, match="one replica id per solution"):
+        engine.try_evaluate(solutions[:1], moves, rows=rows)
 
 
 def test_kill_switch_disables_engine_creation(monkeypatch):
@@ -174,15 +169,13 @@ def test_invalidate_all_resets_and_rederives():
     engine = GainEngine(problem, rows_hint=4)
     rows = np.arange(4, dtype=np.int64)
 
-    engine.expect(rows)
-    engine.try_evaluate(solutions, moves, None)
+    engine.try_evaluate(solutions, moves, rows=rows)
     assert engine.valid.all()
     engine.invalidate_all()
     assert not engine.valid.any()
     assert engine.drain_ops() == [("reset",)]
 
-    engine.expect(rows)
-    got = engine.try_evaluate(solutions, moves, None)
+    got = engine.try_evaluate(solutions, moves, rows=rows)
     np.testing.assert_array_equal(got, reference(problem, solutions, moves))
 
 
@@ -211,11 +204,9 @@ def test_drained_ops_replay_into_a_worker_engine():
     rows = np.arange(3, dtype=np.int64)
 
     for _ in range(6):
-        parent.expect(rows)
-        expect = worker.apply_ops(parent.drain_ops())
-        worker.set_expected(expect)
-        got_parent = parent.try_evaluate(solutions, moves, None)
-        got_worker = worker.try_evaluate(solutions, moves, None)
+        worker.apply_ops(parent.drain_ops())
+        got_parent = parent.try_evaluate(solutions, moves, rows=rows)
+        got_worker = worker.try_evaluate(solutions, moves, rows=rows)
         np.testing.assert_array_equal(got_parent, got_worker)
         bits = np.stack(
             [rng.choice(problem.n, size=2, replace=False) for _ in range(3)]
@@ -247,8 +238,7 @@ def test_debug_check_mode_verifies_served_results(monkeypatch):
     engine = GainEngine(problem, rows_hint=2)
     rows = np.arange(2, dtype=np.int64)
     for _ in range(4):
-        engine.expect(rows)
-        assert engine.try_evaluate(solutions, moves, None) is not None
+        assert engine.try_evaluate(solutions, moves, rows=rows) is not None
         bits = rng.integers(0, problem.n, size=(2, 1)).astype(np.int64)
         engine.commit(rows, bits)
         solutions[rows[:, None], bits] ^= 1

@@ -39,6 +39,21 @@ class TestPublicAPI:
         assert result.iterations <= 50
 
 
+class TestSingleBlasPool:
+    def test_repro_imports_no_scipy(self):
+        """The package runs one BLAS library, NumPy's: importing it must not
+        pull in SciPy (whose own OpenBLAS would add a second thread pool)."""
+        code = (
+            "import sys\n"
+            "import repro, repro.core, repro.service, repro.harness, repro.cli\n"
+            "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)\n"
+        )
+        completed = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+        )
+        assert completed.returncode == 0, completed.stderr
+
+
 class TestModuleEntryPoint:
     def test_python_dash_m_repro_devices(self):
         completed = subprocess.run(
