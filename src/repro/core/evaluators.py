@@ -25,6 +25,11 @@ be executed and therefore in the **simulated time** they accumulate:
     paper's multi-GPU perspective); elapsed simulated time is the slowest
     partition.
 
+Both GPU evaluators compute a step once on the host: a single problem call
+(the *fleet pass*) scores the work of every device, and each device's
+launch is handed its slice as an explicit launch argument, stores it and is
+priced as the evaluation it models.  A ``GPUEvaluator`` is the fleet of one.
+
 The GPU evaluators additionally expose a **device-resident** session API
 (:meth:`GPUEvaluator.begin_search` / :meth:`GPUEvaluator.apply_deltas` /
 :meth:`GPUEvaluator.evaluate_resident` / :meth:`GPUEvaluator.end_search`):
@@ -38,6 +43,7 @@ a fused neighborhood+reduction launch returns only the per-replica best
 from __future__ import annotations
 
 import abc
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,7 +63,7 @@ from ..gpu.dtypes import (
 )
 from ..gpu.hierarchy import DEFAULT_BLOCK_SIZE
 from ..gpu.interconnect import InterconnectTopology
-from ..gpu.kernel import ExecutionMode, Kernel, PersistentKernel
+from ..gpu.kernel import ExecutionMode, PersistentKernel
 from ..gpu.multi_device import MultiGPU, weighted_partition_range
 from ..gpu.runtime import DeviceLoop, GPUContext, PersistentLaunchRecord
 from ..gpu.scheduler import DeviceScheduler
@@ -68,6 +74,7 @@ from ..problems import BinaryProblem, as_solution
 from .kernels import (
     build_batch_neighborhood_kernel,
     build_neighborhood_kernel,
+    build_slice_kernel,
     mapping_flops,
 )
 
@@ -127,6 +134,78 @@ def _fused_reduce(
         out_fitness = np.where(has_improving, fitnesses[rows, indices], np.inf)
         return out_indices, out_fitness.astype(np.float64)
     raise ValueError(f"unknown reduce op {op!r}; expected one of {REDUCE_OPS}")
+
+
+def _fleet_pass(context: GPUContext, evaluate, *args, **kwargs) -> np.ndarray | None:
+    """Score one fleet step with a single host-side problem call.
+
+    ``evaluate`` is the problem's ``evaluate_neighborhood[_batch]`` over the
+    replicas of *every* device launching in the step, keyed by their global
+    replica ids, so the gain engine serves the whole fleet in one pass.  Each
+    device launch is then handed its slice as the explicit ``scores`` launch
+    argument and only stores it; the launches keep their cost, stream order,
+    bytes and count.  Returns ``None`` when the devices interpret kernels per
+    thread: those launches evaluate every slot themselves.  The pass's host
+    wall is charged to ``context.stats.host_eval_time``, which the kernel
+    bodies it replaces used to fill.
+    """
+    if context.mode is not ExecutionMode.VECTORIZED:
+        return None
+    start = time.perf_counter()
+    scores = evaluate(*args, **kwargs)
+    context.stats.host_eval_time += time.perf_counter() - start
+    return scores
+
+
+def _check_reduction_args(
+    shape: tuple[int, int],
+    reduce: str | None,
+    admissible: np.ndarray | None,
+    tabu_iterations: np.ndarray | None,
+    *,
+    tabu_resident: bool,
+    persistent: bool,
+) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """Validate a resident step's reduction inputs for an ``(S, M)`` fleet.
+
+    Returns the ``(admissible, stamps)`` pair as arrays (or ``None``).
+    """
+    num_solutions, num_indices = shape
+    if num_solutions == 0:
+        raise ValueError("need at least one active replica")
+    if reduce is not None and reduce not in REDUCE_OPS:
+        raise ValueError(f"unknown reduce op {reduce!r}; expected one of {REDUCE_OPS}")
+    if persistent and reduce is None:
+        raise ValueError(
+            "the persistent loop folds selection on-device; downloading the "
+            "full fitness matrix would defeat it — use reduce=\"argmin\" or "
+            "\"first-improvement\", or transfer_mode=\"delta\""
+        )
+    stamps = None
+    if tabu_iterations is not None:
+        if not tabu_resident:
+            raise RuntimeError(
+                "tabu_iterations needs a device-resident tabu memory; "
+                "call init_tabu_memory after begin_search"
+            )
+        if admissible is not None:
+            raise ValueError("pass either admissible or tabu_iterations, not both")
+        if reduce != "argmin":
+            raise ValueError("tabu_iterations requires reduce=\"argmin\"")
+        stamps = np.asarray(tabu_iterations, dtype=TABU_STAMP_DTYPE).ravel()
+        if stamps.shape != (num_solutions,):
+            raise ValueError(
+                f"tabu_iterations must have one stamp per replica "
+                f"({num_solutions}), got {stamps.shape}"
+            )
+    if admissible is not None:
+        admissible = np.asarray(admissible, dtype=bool)
+        if admissible.shape != (num_solutions, num_indices):
+            raise ValueError(
+                f"admissible mask must be ({num_solutions}, {num_indices}), "
+                f"got {admissible.shape}"
+            )
+    return admissible, stamps
 
 
 @dataclass
@@ -434,6 +513,10 @@ class GPUEvaluator(NeighborhoodEvaluator):
         self.batch_kernel = build_batch_neighborhood_kernel(
             problem, neighborhood, use_texture=self.use_texture_memory
         )
+        self._slice_kernel = build_slice_kernel(self.kernel, self.kernel.name + "[slice]")
+        self._batch_slice_kernel = build_slice_kernel(
+            self.batch_kernel, self.batch_kernel.name + "[slice]"
+        )
         # Persistent device-side fitness buffer, allocated once (as a real
         # implementation would) and reused across iterations.
         self._fitness_buffer = self.context.alloc(
@@ -455,14 +538,10 @@ class GPUEvaluator(NeighborhoodEvaluator):
         #: Simulated instant the host last synchronized with the device;
         #: host-issued operations cannot start before it.
         self._sync_time: float = 0.0
-        #: Fitness block and global replica ids of the last resident launch
+        #: Fitness block and resident rows of the last resident launch
         #: (still live in device memory — `fetch_fitnesses` reads from it).
         self._last_fitnesses: np.ndarray | None = None
         self._last_rows: np.ndarray | None = None
-        #: Global replica id of resident row 0: a multi-GPU pool sets it to
-        #: the start of the replica slice this device holds, so the launches
-        #: hand the problem (and its gain engine) global replica ids.
-        self._row_base = 0
         #: Persistent launch of the current session (``transfer_mode=
         #: "persistent"``): the whole iteration loop runs inside one launch.
         self._loop: DeviceLoop | None = None
@@ -501,40 +580,22 @@ class GPUEvaluator(NeighborhoodEvaluator):
         before = self.context.stats.total_time
         # Host -> device: the candidate solution (int32, as in the paper's kernels).
         self.context.to_device(f"solution:{id(self)}", solution.astype(np.int32))
-        fitnesses = self._fitness_buffer.data
         if self._is_canonical_full(indices):
             # Full neighborhood: one thread per neighbor, exactly the paper's launch.
-            self.context.launch(
-                self.kernel,
-                self.neighborhood.size,
-                (solution, fitnesses, row),
-                block_size=self.block_size,
-            )
-            result = fitnesses.copy()
+            kernel, fitnesses = self.kernel, self._fitness_buffer.data
+            moves = self.neighborhood.moves()
         else:
-            # Partial evaluation (used by partitioned/multi-device exploration):
-            # launch over the compacted index list.
-            sub_fitnesses = np.empty(indices.size, dtype=np.float64)
-
-            def vectorized_fn(tids, solution_arr, out):
-                moves = self.neighborhood.mapping.from_flat_batch(indices[tids])
-                out[tids] = self.problem.evaluate_neighborhood(solution_arr, moves)
-
-            sub_kernel = Kernel(
-                name=self.kernel.name + "[slice]",
-                vectorized_fn=vectorized_fn,
-                cost=self.kernel.cost,
-            )
-            self.context.launch(
-                sub_kernel,
-                indices.size,
-                (solution, sub_fitnesses),
-                block_size=self.block_size,
-            )
-            result = sub_fitnesses
+            # Partial evaluation: a store-only launch over the compacted list.
+            kernel, fitnesses = self._slice_kernel, np.empty(indices.size, dtype=np.float64)
+            moves, row = self.neighborhood.moves(indices), None
+        scores = _fleet_pass(
+            self.context, self.problem.evaluate_neighborhood, solution, moves, row=row
+        )
+        args = (solution, fitnesses) if scores is None else (solution, fitnesses, scores)
+        self.context.launch(kernel, indices.size, args, block_size=self.block_size)
         self._account_d2h(self.context, indices.size)
         self.stats.simulated_time += self.context.stats.total_time - before
-        return result
+        return fitnesses.copy() if kernel is self.kernel else fitnesses
 
     def _evaluate_many(
         self, solutions: np.ndarray, indices: np.ndarray, rows: np.ndarray | None
@@ -566,24 +627,22 @@ class GPUEvaluator(NeighborhoodEvaluator):
             self.context.alloc(buffer_name, (flat_size,), np.float64)
             self._batch_fitness_size = flat_size
         flat = self.context.memory.get(buffer_name).data
+        # A compacted index list runs the same batched launch over the
+        # (S, M_sub) logical space, store-only, with the caller's move list.
         if self._is_canonical_full(indices):
-            kernel = self.batch_kernel
-            args = (solutions, flat, rows)
+            kernel, moves = self.batch_kernel, self.neighborhood.moves()
         else:
-            # Compacted index list: same batched launch over the (S, M_sub)
-            # logical space, with the move list fixed by the caller.
-            moves = self.neighborhood.moves(indices)
-
-            def vectorized_fn(tids, solutions_arr, out):
-                batch = self.problem.evaluate_neighborhood_batch(solutions_arr, moves)
-                out[tids] = batch.reshape(-1)[tids]
-
-            kernel = Kernel(
-                name=self.batch_kernel.name + "[slice]",
-                vectorized_fn=vectorized_fn,
-                cost=self.batch_kernel.cost,
-            )
-            args = (solutions, flat)
+            kernel, moves = self._batch_slice_kernel, self.neighborhood.moves(indices)
+            rows = None
+        scores = _fleet_pass(
+            self.context,
+            self.problem.evaluate_neighborhood_batch,
+            solutions,
+            moves,
+            out=flat.reshape(num_solutions, num_indices),
+            rows=rows,
+        )
+        args = (solutions, flat) if scores is None else (solutions, flat, scores)
         self.context.launch(
             kernel,
             (num_solutions, num_indices),
@@ -857,9 +916,9 @@ class GPUEvaluator(NeighborhoodEvaluator):
         ----------
         replica_ids:
             Rows of the resident block to evaluate (default: all).  The id
-            list crosses PCIe (``O(S)`` int32), not the solutions.  Offset
-            by the device's row base, they are the global replica ids the
-            launch hands the problem's gain engine.
+            list crosses PCIe (``O(S)`` int32), not the solutions.  They
+            are also the replica ids the fleet pass hands the problem's
+            gain engine.
         reduce:
             ``None`` downloads the full ``(S, M)`` fitness matrix (the
             "delta" transfer mode).  ``"argmin"`` / ``"first-improvement"``
@@ -884,6 +943,10 @@ class GPUEvaluator(NeighborhoodEvaluator):
             on-device, and the winning move's stamp is updated in place.
             Mutually exclusive with ``admissible``.
 
+        A standalone device is a fleet of one: one problem call (the fleet
+        pass) scores the replicas, then the launch stores and prices them,
+        exactly as each device of a :class:`MultiGPUEvaluator` does.
+
         Returns the fitness matrix (``reduce=None``) or an
         ``(indices, fitnesses)`` pair of per-replica arrays where a blocked
         replica (no admissible / no improving move) gets ``(-1, inf)`` —
@@ -892,9 +955,6 @@ class GPUEvaluator(NeighborhoodEvaluator):
         """
         if self._resident is None:
             raise RuntimeError("begin_search must be called before evaluate_resident")
-        context = self.context
-        timeline = context.timeline
-        before_elapsed = timeline.elapsed
         if replica_ids is None:
             rows = np.arange(self._resident.shape[0], dtype=np.int64)
             block = self._resident
@@ -903,67 +963,82 @@ class GPUEvaluator(NeighborhoodEvaluator):
             if rows.size and (rows.min() < 0 or rows.max() >= self._resident.shape[0]):
                 raise IndexError("replica id out of range")
             block = self._resident[rows]
-        num_solutions, num_indices = rows.size, self.neighborhood.size
-        if num_solutions == 0:
-            raise ValueError("need at least one active replica")
-        if reduce is not None and reduce not in REDUCE_OPS:
-            raise ValueError(f"unknown reduce op {reduce!r}; expected one of {REDUCE_OPS}")
-        stamps = None
-        if tabu_iterations is not None:
-            if self._tabu_last_applied is None:
-                raise RuntimeError(
-                    "tabu_iterations needs a device-resident tabu memory; "
-                    "call init_tabu_memory after begin_search"
-                )
-            if admissible is not None:
-                raise ValueError("pass either admissible or tabu_iterations, not both")
-            if reduce != "argmin":
-                raise ValueError("tabu_iterations requires reduce=\"argmin\"")
-            stamps = np.asarray(tabu_iterations, dtype=TABU_STAMP_DTYPE).ravel()
-            if stamps.shape != (num_solutions,):
-                raise ValueError(
-                    f"tabu_iterations must have one stamp per replica "
-                    f"({num_solutions}), got {stamps.shape}"
-                )
-        if admissible is not None:
-            admissible = np.asarray(admissible, dtype=bool)
-            if admissible.shape != (num_solutions, num_indices):
-                raise ValueError(
-                    f"admissible mask must be ({num_solutions}, {num_indices}), "
-                    f"got {admissible.shape}"
-                )
+        shape = (rows.size, self.neighborhood.size)
+        admissible, stamps = _check_reduction_args(
+            shape,
+            reduce,
+            admissible,
+            tabu_iterations,
+            tabu_resident=self._tabu_last_applied is not None,
+            persistent=self._loop is not None and not self._loop.closed,
+        )
+        # The fleet-of-one pass writes straight into this device's fitness
+        # buffer, so the launch's store is free.
+        scores = _fleet_pass(
+            self.context,
+            self.problem.evaluate_neighborhood_batch,
+            block,
+            self.neighborhood.moves(),
+            out=self._resident_fitnesses(rows.size).reshape(shape),
+            rows=rows,
+        )
+        return self._launch_resident(
+            rows, block, scores, reduce, admissible, aspiration_fitness, thresholds, stamps
+        )
+
+    def _resident_fitnesses(self, num_solutions: int) -> np.ndarray:
+        """The session's flat ``S * M`` fitness buffer, resized with ``S``."""
+        context = self.context
         flat_name = self._session_buffer("resident_fitnesses")
-        flat_size = num_solutions * num_indices
+        flat_size = num_solutions * self.neighborhood.size
         if self._resident_fitness_size not in (None, flat_size):
             context.free(flat_name)
         if self._resident_fitness_size != flat_size:
             context.alloc(flat_name, (flat_size,), FITNESS_DTYPE)
             self._resident_fitness_size = flat_size
-        flat = context.memory.get(flat_name).data
+        return context.memory.get(flat_name).data
 
-        global_rows = rows + self._row_base
+    def _launch_resident(
+        self,
+        rows: np.ndarray,
+        block: np.ndarray,
+        scores: np.ndarray | None,
+        reduce: str | None,
+        admissible: np.ndarray | None,
+        aspiration_fitness: np.ndarray | None,
+        thresholds: np.ndarray | None,
+        stamps: np.ndarray | None,
+    ):
+        """This device's launch of one resident step, on validated inputs.
+
+        ``rows`` are local rows of the resident block, ``block`` their
+        solutions and ``scores`` their slice of the fleet pass (``None`` in
+        per-thread mode), which the launch stores and the simulator prices.
+        """
+        timeline = self.context.timeline
+        before_elapsed = timeline.elapsed
+        flat = self._resident_fitnesses(rows.size)
         if self._loop is not None and not self._loop.closed:
             result = self._evaluate_persistent(
-                rows, global_rows, block, flat, reduce,
+                rows, block, flat, scores, reduce,
                 admissible, aspiration_fitness, thresholds, stamps,
             )
         else:
             result = self._evaluate_resident_async(
-                rows, global_rows, block, flat, flat_name, reduce,
+                rows, block, flat, scores, reduce,
                 admissible, aspiration_fitness, thresholds, stamps,
             )
             self.stats.simulated_time += timeline.elapsed - before_elapsed
         self.stats.calls += 1
-        self.stats.evaluations += flat_size
+        self.stats.evaluations += flat.size
         return result
 
     def _evaluate_resident_async(
         self,
         rows: np.ndarray,
-        global_rows: np.ndarray,
         block: np.ndarray,
         flat: np.ndarray,
-        flat_name: str,
+        scores: np.ndarray | None,
         reduce: str | None,
         admissible: np.ndarray | None,
         aspiration_fitness: np.ndarray | None,
@@ -996,7 +1071,7 @@ class GPUEvaluator(NeighborhoodEvaluator):
         _, kernel_event = context.launch_async(
             self.batch_kernel,
             (num_solutions, num_indices),
-            (block, flat, global_rows),
+            (block, flat) if scores is None else (block, flat, scores),
             wait_for=kernel_deps,
             not_before=self._sync_time,
             block_size=self.block_size,
@@ -1005,7 +1080,9 @@ class GPUEvaluator(NeighborhoodEvaluator):
         self._last_fitnesses = fitnesses
         self._last_rows = rows
         if reduce is None:
-            data, down_event = context.download_async(flat_name, wait_for=kernel_event)
+            data, down_event = context.download_async(
+                self._session_buffer("resident_fitnesses"), wait_for=kernel_event
+            )
             self._sync_time = down_event.time
             return data.reshape(num_solutions, num_indices)
         reduce_deps = [kernel_event]
@@ -1070,9 +1147,9 @@ class GPUEvaluator(NeighborhoodEvaluator):
     def _evaluate_persistent(
         self,
         rows: np.ndarray,
-        global_rows: np.ndarray,
         block: np.ndarray,
         flat: np.ndarray,
+        scores: np.ndarray | None,
         reduce: str | None,
         admissible: np.ndarray | None,
         aspiration_fitness: np.ndarray | None,
@@ -1089,12 +1166,6 @@ class GPUEvaluator(NeighborhoodEvaluator):
         the reduction needs (iteration counters, best-so-far aspiration
         fitness) already lives on the device.
         """
-        if reduce is None:
-            raise ValueError(
-                "the persistent loop folds selection on-device; downloading the "
-                "full fitness matrix would defeat it — use reduce=\"argmin\" or "
-                "\"first-improvement\", or transfer_mode=\"delta\""
-            )
         loop = self._loop
         num_solutions, num_indices = rows.size, self.neighborhood.size
         flat_size = num_solutions * num_indices
@@ -1103,7 +1174,7 @@ class GPUEvaluator(NeighborhoodEvaluator):
         loop.write_control(self._resident.shape[0] * STOP_FLAG_BYTES)
         added = loop.iterate(
             (num_solutions, num_indices),
-            (block, flat, global_rows),
+            (block, flat) if scores is None else (block, flat, scores),
             cost=self.batch_kernel.cost,
         )
         fitnesses = flat.reshape(num_solutions, num_indices)
@@ -1370,6 +1441,15 @@ class MultiGPUEvaluator(NeighborhoodEvaluator):
             )
             for ctx in self.pool.contexts
         ]
+        #: Per-device store-only launches over a share of a split
+        #: neighborhood (scalar, batched), named after the device.
+        self._slice_kernels = [
+            tuple(
+                build_slice_kernel(kernel, kernel.name + f"[slice:{dev}]")
+                for kernel in (sub.kernel, sub.batch_kernel)
+            )
+            for dev, sub in enumerate(self._sub_evaluators)
+        ]
         #: Whether resident-session delta packets take the hub-upload +
         #: peer-forward route instead of one host upload per device.  Only
         #: possible when the interconnect topology routes peer copies
@@ -1492,10 +1572,13 @@ class MultiGPUEvaluator(NeighborhoodEvaluator):
     ) -> np.ndarray:
         """Concurrent per-device async chains over a partitioned index space.
 
-        The per-device uploads (and later the downloads) are priced as one
-        interconnect arbitration batch: they are simultaneous on the
-        simulated clock, so on a shared-uplink topology they split the root
-        complex fairly instead of each assuming a private link.
+        One fleet pass scores the whole index list (served by the gain
+        engine when it is the canonical full neighborhood); each device's
+        slice launch then stores its share.  The per-device uploads (and
+        later the downloads) are priced as one interconnect arbitration
+        batch: they are simultaneous on the simulated clock, so on a
+        shared-uplink topology they split the root complex fairly instead of
+        each assuming a private link.
         """
         scheduler = self.scheduler
         before = scheduler.makespan
@@ -1513,27 +1596,26 @@ class MultiGPUEvaluator(NeighborhoodEvaluator):
                 for _evaluator, part in chains
             ]
         )
+        if self._is_canonical_full(indices):
+            moves = self.neighborhood.moves()
+        else:
+            moves, row = self.neighborhood.moves(indices), None
+        scores = _fleet_pass(
+            self.pool.contexts[0], self.problem.evaluate_neighborhood, solution, moves, row=row
+        )
         download_items = []
         for (evaluator, part), upload in zip(chains, upload_events):
             context = evaluator.context
             dev = part.device_index
-            part_indices = indices[part.start : part.stop]
             buffer_name = f"slice_out:{id(self)}:{dev}"
             sub_out = self._device_buffer(context, buffer_name, part.size)
-
-            def vectorized_fn(tids, solution_arr, out_arr, part_indices=part_indices):
-                moves = self.neighborhood.mapping.from_flat_batch(part_indices[tids])
-                out_arr[tids] = self.problem.evaluate_neighborhood(solution_arr, moves)
-
-            slice_kernel = Kernel(
-                name=evaluator.kernel.name + f"[slice:{dev}]",
-                vectorized_fn=vectorized_fn,
-                cost=evaluator.kernel.cost,
-            )
+            args = (solution, sub_out)
+            if scores is not None:
+                args += (scores[part.start : part.stop],)
             _, kernel_event = context.launch_async(
-                slice_kernel,
+                self._slice_kernels[dev][0],
                 part.size,
-                (solution, sub_out),
+                args,
                 wait_for=[upload],
                 block_size=self.block_size,
             )
@@ -1556,14 +1638,13 @@ class MultiGPUEvaluator(NeighborhoodEvaluator):
         uploads only the solution rows that slice touches and runs one
         asynchronous upload -> launch -> download chain; the chains of
         different devices overlap freely, so the step costs the cross-device
-        makespan.  The slices cut replicas mid-neighborhood, so they are
-        recomputed from partial move lists: the gain engine, which serves
-        whole neighborhoods by replica row, does not serve this path.
+        makespan.  The slices cut replicas mid-neighborhood, so the whole
+        batch is scored by one fleet pass (served by the gain engine by
+        replica row) and each slice launch stores its share of it.
         """
         num_solutions, num_indices = solutions.shape[0], indices.size
         flat_total = num_solutions * num_indices
         out = np.empty(flat_total, dtype=np.float64)
-        mapping = self.neighborhood.mapping
         scheduler = self.scheduler
         before = scheduler.makespan
         parts = self._partitions(flat_total)
@@ -1573,51 +1654,45 @@ class MultiGPUEvaluator(NeighborhoodEvaluator):
             if part.size == 0:
                 continue
             dev = part.device_index
-            flat_ids = np.arange(part.start, part.stop, dtype=np.int64)
-            replica_ids = flat_ids // num_indices
-            neighbor_ids = indices[flat_ids % num_indices]
-            replica_lo = int(replica_ids[0])
-            block = solutions[replica_lo : int(replica_ids[-1]) + 1]
-            chains.append((evaluator, part, block, replica_ids - replica_lo, neighbor_ids))
+            block = solutions[part.start // num_indices : (part.stop - 1) // num_indices + 1]
+            chains.append((evaluator, part, block))
             upload_items.append(
                 (dev, f"solutions:{id(self)}:{dev}", block.astype(SOLUTION_DTYPE))
             )
         # The simultaneous per-device uploads (and downloads below) share the
         # interconnect fairly: one arbitration batch each.
         upload_events = scheduler.upload_batch(upload_items)
+        if self._is_canonical_full(indices):
+            moves = self.neighborhood.moves()
+        else:
+            moves, rows = self.neighborhood.moves(indices), None
+        scores = _fleet_pass(
+            self.pool.contexts[0],
+            self.problem.evaluate_neighborhood_batch,
+            solutions,
+            moves,
+            out=out.reshape(num_solutions, num_indices),
+            rows=rows,
+        )
         download_items = []
-        for (evaluator, part, block, local_replicas, neighbor_ids), upload in zip(
-            chains, upload_events
-        ):
+        for (evaluator, part, block), upload in zip(chains, upload_events):
             context = evaluator.context
             dev = part.device_index
             buffer_name = f"batch_out:{id(self)}:{dev}"
             sub_out = self._device_buffer(context, buffer_name, part.size)
-
-            def vectorized_fn(tids, solutions_arr, out_arr,
-                              local_replicas=local_replicas, neighbor_ids=neighbor_ids):
-                for replica in np.unique(local_replicas[tids]):
-                    mask = local_replicas[tids] == replica
-                    moves = mapping.from_flat_batch(neighbor_ids[tids][mask])
-                    out_arr[tids[mask]] = self.problem.evaluate_neighborhood(
-                        solutions_arr[replica], moves
-                    )
-
-            slice_kernel = Kernel(
-                name=evaluator.batch_kernel.name + f"[slice:{dev}]",
-                vectorized_fn=vectorized_fn,
-                cost=evaluator.batch_kernel.cost,
-            )
+            args = (block, sub_out)
+            if scores is not None:
+                args += (out[part.start : part.stop],)
             _, kernel_event = context.launch_async(
-                slice_kernel,
+                self._slice_kernels[dev][1],
                 part.size,
-                (block, sub_out),
+                args,
                 wait_for=[upload],
                 block_size=self.block_size,
             )
             download_items.append((dev, buffer_name, kernel_event))
         downloads = scheduler.download_batch(download_items)
-        for (evaluator, part, *_), (data, _event) in zip(chains, downloads):
+        for (evaluator, part, _block), (data, _event) in zip(chains, downloads):
             out[part.start : part.stop] = data
         self.stats.simulated_time += scheduler.makespan - before
         return out.reshape(num_solutions, num_indices)
@@ -1626,17 +1701,6 @@ class MultiGPUEvaluator(NeighborhoodEvaluator):
     # Device-resident session API (replica-partitioned across devices)
     # ------------------------------------------------------------------
     supports_device_residency = True
-
-    def _set_replica_ranges(self, ranges: list[tuple[int, int]] | None) -> None:
-        """Install the resident replica ranges ``[lo, hi)``, one per device.
-
-        Each device evaluator's row base becomes the global id of the first
-        replica it holds, so its launches name replicas by global id and one
-        gain engine serves every shard, across begin/rebalance/fail/join.
-        """
-        self._replica_ranges = ranges
-        for index, evaluator in enumerate(self._sub_evaluators):
-            evaluator._row_base = ranges[index][0] if ranges is not None else 0
 
     def _resident_parts(self):
         """Yield ``(evaluator, lo, hi)`` for devices owning at least one replica."""
@@ -1663,7 +1727,7 @@ class MultiGPUEvaluator(NeighborhoodEvaluator):
             raise ValueError("need at least one replica to start a resident search")
         self.end_search()
         parts = self._partitions(solutions.shape[0])
-        self._set_replica_ranges([(part.start, part.stop) for part in parts])
+        self._replica_ranges = [(part.start, part.stop) for part in parts]
         self._persistent = bool(persistent)
         before = self.scheduler.makespan
         # The per-device resident uploads leave the host together, so they
@@ -1829,12 +1893,17 @@ class MultiGPUEvaluator(NeighborhoodEvaluator):
         thresholds: np.ndarray | None = None,
         tabu_iterations: np.ndarray | None = None,
     ):
-        """Per-device resident evaluation; elapsed time is the slowest device's.
+        """One fleet pass, then one launch per device; elapsed time is the
+        slowest device's.
 
-        During a persistent session the sub-evaluators route the iteration
-        through their open device loops, so the per-device stream clocks do
-        not advance until the session ends; the elapsed contribution is then
-        the slowest device's accumulated on-device time instead.
+        A single problem call scores the active replicas of every device
+        together (the gain engine serves them by global replica id); each
+        owning device's launch then stores its slice and is priced exactly
+        as a standalone device's resident launch.  During a persistent
+        session the launches run inside the devices' open loops, so the
+        per-device stream clocks do not advance until the session ends; the
+        elapsed contribution is then the slowest device's accumulated
+        on-device time instead.
         """
         if self._replica_ranges is None:
             raise RuntimeError("begin_search must be called before evaluate_resident")
@@ -1846,32 +1915,56 @@ class MultiGPUEvaluator(NeighborhoodEvaluator):
             if rows.size and (rows.min() < 0 or rows.max() >= total):
                 raise IndexError("replica id out of range")
         num_solutions, num_indices = rows.size, self.neighborhood.size
-        if num_solutions == 0:
-            raise ValueError("need at least one active replica")
+        admissible, stamps = _check_reduction_args(
+            (num_solutions, num_indices),
+            reduce,
+            admissible,
+            tabu_iterations,
+            tabu_resident=self._resident_tenure is not None,
+            persistent=self._persistent,
+        )
+        # Each owning device's share of the step, stacked in device order.
+        shares = []
+        for evaluator, lo, hi in self._resident_parts():
+            mask = (rows >= lo) & (rows < hi)
+            if mask.any():
+                shares.append((evaluator, mask, rows[mask] - lo))
+        block = np.concatenate([evaluator._resident[local] for evaluator, _, local in shares])
+        fleet_rows = np.concatenate([rows[mask] for _, mask, _ in shares])
+        scores = _fleet_pass(
+            self.pool.contexts[0],
+            self.problem.evaluate_neighborhood_batch,
+            block,
+            self.neighborhood.moves(),
+            out=np.empty((num_solutions, num_indices), dtype=np.float64),
+            rows=fleet_rows,
+        )
         if reduce is None:
-            out_fitnesses = np.empty((num_solutions, num_indices), dtype=np.float64)
+            # Ascending rows (every runner's) stack in the caller's order, so
+            # the devices' downloads land in the fleet pass's own array.
+            if scores is not None and np.array_equal(fleet_rows, rows):
+                out_fitnesses = scores
+            else:
+                out_fitnesses = np.empty((num_solutions, num_indices), dtype=np.float64)
         else:
             out_indices = np.empty(num_solutions, dtype=np.int64)
             out_best = np.empty(num_solutions, dtype=np.float64)
         before_makespan = self.scheduler.makespan
         per_device_times = []
-        for evaluator, lo, hi in self._resident_parts():
-            mask = (rows >= lo) & (rows < hi)
-            if not mask.any():
-                continue
-            local_ids = rows[mask] - lo
+        offset = 0
+        for evaluator, mask, local in shares:
+            share = slice(offset, offset + local.size)
+            offset += local.size
             before = evaluator.stats.simulated_time
-            sub = evaluator.evaluate_resident(
-                local_ids,
-                reduce=reduce,
-                admissible=admissible[mask] if admissible is not None else None,
-                aspiration_fitness=(
-                    aspiration_fitness[mask] if aspiration_fitness is not None else None
-                ),
-                thresholds=thresholds[mask] if thresholds is not None else None,
-                tabu_iterations=(
-                    tabu_iterations[mask] if tabu_iterations is not None else None
-                ),
+            sub = evaluator._launch_resident(
+                local,
+                block[share],
+                None if scores is None else scores[share],
+                reduce,
+                admissible[mask] if admissible is not None else None,
+                aspiration_fitness[mask] if aspiration_fitness is not None else None,
+                thresholds[mask] if thresholds is not None else None,
+                stamps[mask] if stamps is not None else None,
             )
             per_device_times.append(evaluator.stats.simulated_time - before)
             if reduce is None:
@@ -2113,7 +2206,7 @@ class MultiGPUEvaluator(NeighborhoodEvaluator):
                 local = staged_global[mask].copy()
                 local[:, 0] -= lo
                 evaluator._staged_deltas = [local.astype(DELTA_DTYPE)]
-        self._set_replica_ranges(new_ranges)
+        self._replica_ranges = new_ranges
         return migrated
 
     # -- checkpointing ---------------------------------------------------
@@ -2157,7 +2250,7 @@ class MultiGPUEvaluator(NeighborhoodEvaluator):
             evaluator.restore_state(sub_snap)
         self._device_active = [bool(flag) for flag in snap["device_active"]]
         ranges = snap.get("replica_ranges")
-        self._set_replica_ranges(
+        self._replica_ranges = (
             [(int(lo), int(hi)) for lo, hi in ranges] if ranges is not None else None
         )
         self._persistent = bool(snap.get("persistent", False))
@@ -2173,7 +2266,7 @@ class MultiGPUEvaluator(NeighborhoodEvaluator):
         # them; the scratch buffers are reallocated on demand).
         for context in self.pool.contexts:
             context.free_evaluator_buffers(self)
-        self._set_replica_ranges(None)
+        self._replica_ranges = None
         self._persistent = False
         self._resident_tenure = None
 

@@ -8,6 +8,12 @@ id.  :func:`build_neighborhood_kernel` produces the simulator equivalent for
 *any* binary problem and *any* k-Hamming neighborhood: the per-thread body
 is a literal transcription of the paper's kernels, the vectorized body is
 the NumPy batch equivalent used for fast execution.
+
+The evaluators compute each step once on the host — one problem call for
+every device of the fleet — and hand each launch its slice of that *fleet
+pass* as the explicit ``scores`` launch argument; the vectorized body then
+only stores it, while the launch is priced as the full evaluation it
+models.  A direct launch without ``scores`` scores its own input first.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ from ..problems import BinaryProblem
 __all__ = [
     "build_neighborhood_kernel",
     "build_batch_neighborhood_kernel",
+    "build_slice_kernel",
     "mapping_flops",
     "kernel_cost_profile",
 ]
@@ -61,6 +68,16 @@ def kernel_cost_profile(
     )
 
 
+def _store_slice(tids: np.ndarray, fitnesses: np.ndarray, scores: np.ndarray) -> None:
+    """Vectorized body of a launch handed its slice of the fleet pass.
+
+    The launcher's active ids are always ``0 .. active - 1``, so the store
+    is one block copy — which NumPy skips entirely when the fleet pass
+    already wrote into this output buffer.
+    """
+    fitnesses[: tids.size] = scores.reshape(-1)[: tids.size]
+
+
 def build_neighborhood_kernel(
     problem: BinaryProblem,
     neighborhood: Neighborhood,
@@ -70,20 +87,23 @@ def build_neighborhood_kernel(
     """Create the evaluation kernel for ``problem`` explored with ``neighborhood``.
 
     The kernel signature (its ``args`` tuple at launch time) is
-    ``(solution, fitnesses[, row])``:
+    ``(solution, fitnesses[, scores])``:
 
     * ``solution`` — the current candidate, a length-``n`` 0/1 vector living
       in (simulated) global memory;
     * ``fitnesses`` — the output array of ``neighborhood.size`` fitness
       values, one slot per thread;
-    * ``row`` — optional global replica id of ``solution``, which lets the
-      problem's incremental gain engine serve the evaluation.
+    * ``scores`` — optional slice of the evaluator's fleet pass: the
+      fitnesses the host already computed for exactly the threads of this
+      launch (thread ``t`` stores ``scores[t]``).  The vectorized body
+      stores it (scoring the solution itself when launched without one);
+      the per-thread body always evaluates its own move.
     """
     mapping = neighborhood.mapping
     size = neighborhood.size
 
     def thread_fn(
-        ctx: ThreadContext, solution: np.ndarray, fitnesses: np.ndarray, row=None
+        ctx: ThreadContext, solution: np.ndarray, fitnesses: np.ndarray, scores=None
     ) -> None:
         # Literal transcription of the paper's kernels:
         #   int move_index = blockIdx.x * blockDim.x + threadIdx.x;
@@ -97,17 +117,12 @@ def build_neighborhood_kernel(
             fitnesses[move_index] = problem.delta_evaluate(solution, move)
 
     def vectorized_fn(
-        tids: np.ndarray, solution: np.ndarray, fitnesses: np.ndarray, row=None
+        tids: np.ndarray, solution: np.ndarray, fitnesses: np.ndarray, scores=None
     ) -> None:
-        if tids.size == size and tids.size and tids[0] == 0 and tids[-1] == size - 1:
-            # The neighborhood's shared frozen move table: one table for
-            # every kernel and device, so per-table preprocessing binds once.
-            fitnesses[:size] = problem.evaluate_neighborhood(
-                solution, neighborhood.moves(), row=row
-            )
-            return
-        moves = mapping.from_flat_batch(tids)
-        fitnesses[tids] = problem.evaluate_neighborhood(solution, moves)
+        if scores is None:
+            # A direct launch, without a fleet pass, scores its own solution.
+            scores = problem.evaluate_neighborhood(solution, neighborhood.moves())
+        _store_slice(tids, fitnesses, scores)
 
     return Kernel(
         name=f"MoveIncrEvalKernel<{problem.name},{neighborhood.order}-Hamming>",
@@ -127,11 +142,15 @@ def build_batch_neighborhood_kernel(
 
     One thread per (replica, neighbor) pair over a logical ``(S, M)`` work
     shape: thread ``t`` evaluates neighbor ``t % M`` of solution ``t // M``.
-    The kernel's ``args`` tuple is ``(solutions, fitnesses[, rows])`` where
-    ``solutions`` is the ``(S, n)`` block of current candidates,
-    ``fitnesses`` a flat array of ``S * M`` output slots and ``rows`` the
-    optional global replica ids of the ``S`` solutions (the key of the
-    problem's incremental gain engine, whichever device runs the launch).
+    The kernel's ``args`` tuple is ``(solutions, fitnesses[, scores])``
+    where ``solutions`` is the ``(S, n)`` block of current candidates,
+    ``fitnesses`` a flat array of ``S * M`` output slots and ``scores`` the
+    optional ``(S, M)`` slice of the evaluator's fleet pass — the one
+    host-side problem call that scored every device's replicas of the step
+    (and let the gain engine serve them by global replica id).  The
+    vectorized body stores the launch's slice (scoring the block itself
+    when launched without one); the per-thread body always evaluates its
+    own (replica, neighbor) pair.
     The per-thread cost profile is identical to the single-solution kernel
     — batching multiplies the thread count, not the per-thread work — which
     is exactly why the launch amortizes its fixed overhead over ``S``
@@ -141,7 +160,7 @@ def build_batch_neighborhood_kernel(
     size = neighborhood.size
 
     def thread_fn(
-        ctx: ThreadContext, solutions: np.ndarray, fitnesses: np.ndarray, rows=None
+        ctx: ThreadContext, solutions: np.ndarray, fitnesses: np.ndarray, scores=None
     ) -> None:
         # The paper's kernel with a second logical axis:
         #   int tid = blockIdx.x * blockDim.x + threadIdx.x;
@@ -154,31 +173,12 @@ def build_batch_neighborhood_kernel(
             fitnesses[tid] = problem.delta_evaluate(solutions[replica], move)
 
     def vectorized_fn(
-        tids: np.ndarray, solutions: np.ndarray, fitnesses: np.ndarray, rows=None
+        tids: np.ndarray, solutions: np.ndarray, fitnesses: np.ndarray, scores=None
     ) -> None:
-        num_solutions = solutions.shape[0]
-        total = num_solutions * size
-        if tids.size == total and tids.size:
-            # Full batch: one broadcast delta evaluation over all replicas,
-            # on the neighborhood's shared frozen move table.  The launcher
-            # hands us a contiguous id range, so the scores land in the
-            # output buffer without an S*M fancy-index scatter.
-            moves = neighborhood.moves()
-            if tids[0] == 0 and tids[-1] == total - 1:
-                view = fitnesses[:total].reshape(num_solutions, size)
-                problem.evaluate_neighborhood_batch(solutions, moves, out=view, rows=rows)
-            else:
-                fitnesses[tids] = problem.evaluate_neighborhood_batch(
-                    solutions, moves, rows=rows
-                ).ravel()
-            return
-        # Partial coverage (e.g. a multi-device slice of the flat index
-        # space): evaluate each replica's contiguous run of neighbors.
-        replicas = tids // size
-        for replica in np.unique(replicas):
-            mask = replicas == replica
-            moves = mapping.from_flat_batch(tids[mask] % size)
-            fitnesses[tids[mask]] = problem.evaluate_neighborhood(solutions[replica], moves)
+        if scores is None:
+            # A direct launch, without a fleet pass, scores its own block.
+            scores = problem.evaluate_neighborhood_batch(solutions, neighborhood.moves())
+        _store_slice(tids, fitnesses, scores)
 
     return Kernel(
         name=f"BatchMoveIncrEvalKernel<{problem.name},{neighborhood.order}-Hamming>",
@@ -186,3 +186,22 @@ def build_batch_neighborhood_kernel(
         vectorized_fn=vectorized_fn,
         cost=kernel_cost_profile(problem, neighborhood.order, use_texture=use_texture),
     )
+
+
+def build_slice_kernel(kernel: Kernel, name: str) -> Kernel:
+    """Store-only launch over a sub-range of ``kernel``'s flat index space.
+
+    The ``args`` tuple is ``(solutions, fitnesses, scores)``: thread ``t``
+    stores ``scores[t]``, its slot of the evaluator's fleet pass.  Used where
+    a launch covers a device's share of a split neighborhood or a caller's
+    compacted index list; its thread ids do not map to moves through the
+    neighborhood's mapping, so it has no per-thread body.  The cost profile
+    is ``kernel``'s: the simulated device still evaluates every neighbor.
+    """
+
+    def vectorized_fn(
+        tids: np.ndarray, solutions: np.ndarray, fitnesses: np.ndarray, scores: np.ndarray
+    ) -> None:
+        _store_slice(tids, fitnesses, scores)
+
+    return Kernel(name=name, vectorized_fn=vectorized_fn, cost=kernel.cost)

@@ -18,8 +18,14 @@ engine is self-healing: it keeps a mirror of the solutions it believes each
 replica holds, verifies the mirror against the actual inputs on every call,
 and silently re-derives any row that diverged (restarts, perturbations,
 ILS/VNS kicks, checkpoint restores, replica migration).  Anything outside
-the compiled model — unknown move tables, k > 2, writable move arrays,
-disabled fast paths — declines to the existing scorer/reference chain.
+the compiled model — move tables the problem's scorer does not compile
+(the scorers cover 1- and 2-flip tables; PPP keeps one gain state per
+order), writable move arrays, disabled fast paths — declines to the
+existing scorer/reference chain.
+
+The GPU evaluators consult the engine once per fleet step: one problem
+call covers the replicas of every device, keyed by global replica id, and
+each device launch stores its slice (see :mod:`repro.core.evaluators`).
 
 ``REPRO_INCREMENTAL=0`` kills the engine globally;
 ``REPRO_INCREMENTAL_CHECK=N`` re-verifies every N-th materialization against
@@ -53,6 +59,10 @@ OPS_BUFFER_CAP = 256
 #: Like the fast scorers: fall back to the recompute path when one call's
 #: float32 scratch would exceed this.
 WORKSPACE_LIMIT = 256 * 1024 * 1024
+
+#: Row block of the PPP pair state's linear-term GEMM: its accumulation goes
+#: through a reused scratch of at most this many rows, not a full transient.
+SCRATCH_ROWS = 128
 
 
 def incremental_enabled() -> bool:
@@ -98,34 +108,47 @@ class _GainStateBase:
         return True
 
 
-def _merged_ppp_tables(scorer):
-    """Scorer-level merged k=2 tables (move-table independent).
+def _merged_ppp_tables(scorer, k: int):
+    """Scorer-level merged k-flip tables (move-table independent).
 
     Rows 0 (sign weight) and 1 (outside-occupied) of the scorer's table
     stack enter the fitness without an absolute value, so they fold into a
-    single row — one less row in every GEMM and elementwise pass.  Cached by
-    scorer identity in the fastpath cache registry.
+    single row — one less row in every GEMM and elementwise pass.  Returns
+    ``(quad, lin, bsum_t, base_off, a_f32)``: per-row ``z`` tables of the
+    pair (k=2, ``quad`` is ``None`` for k=1) and linear coefficients, the
+    base table the ``z`` histogram contracts against, the occupied-bin
+    target offsets, and ``A`` in float32.  Cached by scorer identity and
+    ``k`` in the fastpath cache registry.
     """
-    entry = _PPP_SCORER_CACHE.get(id(scorer))
+    key = (id(scorer), k)
+    entry = _PPP_SCORER_CACHE.get(key)
     if entry is not None and entry[0] is scorer:
         return entry[1]
-    occ0 = 2
-    pq = np.ascontiguousarray(
-        np.vstack([scorer.pair_quad[0] + scorer.pair_quad[1], scorer.pair_quad[occ0:]])
-    )
-    pl = np.ascontiguousarray(
-        np.vstack([scorer.pair_lin[0] + scorer.pair_lin[1], scorer.pair_lin[occ0:]])
-    )
-    vt = np.vstack(
-        [scorer.value_tables[0] + scorer.value_tables[1], scorer.value_tables[occ0:]]
-    )
-    bsum_t = np.ascontiguousarray((4.0 * vt + pq).T)  # (Z, R') base = cnt @ bsum_t
-    base_off = np.zeros(pq.shape[0], dtype=np.float32)
-    base_off[1:] = -4.0 * scorer.target_occ
+
+    def merged(table):
+        return np.ascontiguousarray(np.vstack([table[0] + table[1], table[2:]]))
+
+    base_off = np.zeros(scorer.num_tables - 1, dtype=np.float32)
+    if k == 1:
+        quad, lin = None, merged(scorer.single_lin)
+        bsum_t = np.ascontiguousarray(merged(scorer.single_base).T)  # (Z, R')
+        base_off[1:] = -2.0 * scorer.target_occ
+    else:
+        quad, lin = merged(scorer.pair_quad), merged(scorer.pair_lin)
+        vt = merged(scorer.value_tables)
+        bsum_t = np.ascontiguousarray((4.0 * vt + quad).T)  # (Z, R') base = cnt @ bsum_t
+        base_off[1:] = -4.0 * scorer.target_occ
     a_f32 = np.ascontiguousarray(scorer.At8.T, dtype=np.float32)  # (m, n)
-    tables = (pq, pl, bsum_t, base_off, a_f32)
-    _PPP_SCORER_CACHE.put(id(scorer), (scorer, tables))
+    tables = (quad, lin, bsum_t, base_off, a_f32)
+    _PPP_SCORER_CACHE.put(key, (scorer, tables))
     return tables
+
+
+def _z_counts(z: np.ndarray, zdim: int) -> np.ndarray:
+    """Per-row histograms of the compressed products ``z`` (float32 counts)."""
+    c = z.shape[0]
+    flat = (np.arange(c)[:, None] * zdim + z).ravel()
+    return np.bincount(flat, minlength=c * zdim).reshape(c, zdim).astype(np.float32)
 
 
 def _ppp_coupling(scorer, table):
@@ -195,7 +218,7 @@ class _PPPGainState(_GainStateBase):
         n, m = scorer.n, scorer.m
         self.n, self.m = n, m
         self.num_moves = table.num_moves
-        self.pq, self.pl, self.bsum_t, self.base_off, self.a_f32 = _merged_ppp_tables(scorer)
+        self.pq, self.pl, self.bsum_t, self.base_off, self.a_f32 = _merged_ppp_tables(scorer, 2)
         self.aa, self.p_mat, self.touch = _ppp_coupling(scorer, table)
         self.rp = self.pq.shape[0]
         self.zdim = self.bsum_t.shape[0]
@@ -212,9 +235,10 @@ class _PPPGainState(_GainStateBase):
         if scorer is None:
             return None
         table = scorer.move_table(moves)
-        if table is None or table.k != 2:
+        if table is None:
             return None
-        return _PPPGainState(problem, scorer, table, rows)
+        state = _PPPFlipGainState if table.k == 1 else _PPPGainState
+        return state(problem, scorer, table, rows)
 
     def can_materialize(self, count: int) -> bool:
         return 4 * (self.rp + 1) * count * (self.num_moves + self.n + 2) <= WORKSPACE_LIMIT
@@ -228,11 +252,7 @@ class _PPPGainState(_GainStateBase):
         self.z[rows] = z
         self.VVf[rows, : self.num_moves] = (V[:, cols_i] * V[:, cols_j]).astype(np.float32)
         self.VVf[rows, self.num_moves] = 1.0
-        c = rows.shape[0]
-        flat = (np.arange(c)[:, None] * self.zdim + z).ravel()
-        self.cnt[rows] = (
-            np.bincount(flat, minlength=c * self.zdim).reshape(c, self.zdim).astype(np.float32)
-        )
+        self.cnt[rows] = _z_counts(z, self.zdim)
 
     def commit(self, rows: np.ndarray, bits: np.ndarray) -> bool:
         if bits.shape[1] != 2:
@@ -274,6 +294,7 @@ class _PPPGainState(_GainStateBase):
                 np.empty((rp * count, num_moves), dtype=np.float32),
                 np.empty((rp * count, n + 1), dtype=np.float32),
                 np.empty((count, num_moves), dtype=np.float32),
+                np.empty((min(rp * count, SCRATCH_ROWS), num_moves), dtype=np.float32),
             )
             self._workspaces.put(count, buf)
         return buf
@@ -287,7 +308,7 @@ class _PPPGainState(_GainStateBase):
         lin = self.pl[:, z]
         base = np.matmul(self.cnt[rows], self.bsum_t)  # (c, R')
         base += self.base_off
-        G, hb, total = self._workspace(count)
+        G, hb, total, scratch = self._workspace(count)
         np.matmul(q.reshape(rp * count, m), self.aa, out=G)
         G3 = G.reshape(rp, count, num_moves)
         G3 *= self.VVf[rows, : num_moves]
@@ -295,12 +316,102 @@ class _PPPGainState(_GainStateBase):
         hb3 = hb.reshape(rp, count, n + 1)
         hb3[:, :, :n] *= self.V[rows]
         hb3[:, :, n] = base.T
-        G += np.matmul(hb, self.p_mat)
+        # G += hb @ P through a bounded scratch block: exact integers, so
+        # the row blocking cannot change a bit.
+        for start in range(0, rp * count, SCRATCH_ROWS):
+            block = scratch[: min(SCRATCH_ROWS, rp * count - start)]
+            np.matmul(hb[start : start + block.shape[0]], self.p_mat, out=block)
+            G[start : start + block.shape[0]] += block
         occ = G3[1:]
         np.abs(occ, out=occ)
         np.add.reduce(G3, axis=0, out=total)
         np.multiply(total, 0.25, out=out, casting="unsafe")
         out += scorer.const_term
+        return out
+
+
+class _PPPFlipGainState(_GainStateBase):
+    """1-flip PPP evaluation from maintained sign state.
+
+    Maintains, per replica: the ±1 solution signs ``V``, the compressed
+    products ``z = (A V + n) / 2`` and the ``z``-value histogram ``cnt``.
+    A commit of bit ``a`` moves every ``z`` by one along row ``a`` of
+    ``A^T`` and re-counts the replica's histogram — O(m) per replica.
+    Materialization is one skinny GEMM plus one elementwise pass::
+
+        G = V * (lin[z] @ A) + cnt @ base      (gathered on the move bits)
+
+    with the absolute value applied to the occupied-bin rows: the scorer's
+    1-flip algebra, every intermediate an exact integer below 2^24 in
+    float32, so the result is bit-identical.
+    """
+
+    _row_arrays = ("V", "z", "cnt")
+
+    def __init__(self, problem, scorer, table, rows: int) -> None:
+        self.problem = problem
+        self.scorer = scorer
+        self.table = table
+        n, m = scorer.n, scorer.m
+        self.n, self.m = n, m
+        self.num_moves = table.num_moves
+        _, self.pl, self.bsum_t, self.base_off, self.a_f32 = _merged_ppp_tables(scorer, 1)
+        self.rp = self.pl.shape[0]
+        self.zdim = self.bsum_t.shape[0]
+        rows = max(rows, 1)
+        self.V = np.zeros((rows, n), dtype=np.int8)
+        self.z = np.zeros((rows, m), dtype=np.int32)
+        self.cnt = np.zeros((rows, self.zdim), dtype=np.float32)
+        self._workspaces = BoundedCache(4)
+
+    def can_materialize(self, count: int) -> bool:
+        return 4 * (self.rp + 1) * count * (self.num_moves + self.n + self.m) <= WORKSPACE_LIMIT
+
+    def init_rows(self, rows: np.ndarray, solutions: np.ndarray) -> None:
+        V = (2 * solutions.astype(np.int8) - 1).astype(np.int8)
+        prod = V.astype(np.int32) @ self.scorer.At8.astype(np.int32)  # (c, m)
+        z = ((prod + self.n) >> 1).astype(np.int32)
+        self.V[rows] = V
+        self.z[rows] = z
+        self.cnt[rows] = _z_counts(z, self.zdim)
+
+    def commit(self, rows: np.ndarray, bits: np.ndarray) -> bool:
+        if bits.shape[1] != 1:
+            return False
+        a = bits[:, 0]
+        va = self.V[rows, a].astype(np.int32)
+        self.z[rows] -= self.scorer.At8[a] * va[:, None]
+        self.cnt[rows] = _z_counts(self.z[rows], self.zdim)
+        self.V[rows, a] *= -1
+        return True
+
+    def _workspace(self, count: int):
+        buf = self._workspaces.get(count)
+        if buf is None:
+            buf = (
+                np.empty((self.rp * count, self.n), dtype=np.float32),
+                np.empty((count, self.num_moves), dtype=np.float32),
+            )
+            self._workspaces.put(count, buf)
+        return buf
+
+    def materialize(self, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
+        rp, m, n = self.rp, self.m, self.n
+        count = rows.shape[0]
+        lin = self.pl[:, self.z[rows]]  # (R', c, m) contiguous gather
+        base = np.matmul(self.cnt[rows], self.bsum_t)  # (c, R')
+        base += self.base_off
+        G, total = self._workspace(count)
+        np.matmul(lin.reshape(rp * count, m), self.a_f32, out=G)
+        G3 = G.reshape(rp, count, n)
+        G3 *= self.V[rows]
+        G3 += base.T[:, :, None]
+        vals = np.take(G3, self.table.cols_i, axis=2)  # (R', c, M)
+        occ = vals[1:]
+        np.abs(occ, out=occ)
+        np.add.reduce(vals, axis=0, out=total)
+        np.multiply(total, 0.5, out=out, casting="unsafe")
+        out += self.scorer.const_term
         return out
 
 
@@ -625,8 +736,8 @@ class GainEngine:
     """Self-healing incremental neighborhood evaluator for one search run.
 
     The engine binds the first frozen (read-only) move table it sees — the
-    neighborhood's shared full table, so every kernel and device shard of a
-    run hits the same binding — keeps a mirror of the solution block it
+    neighborhood's shared full table, so every evaluator and fleet pass of
+    a run hits the same binding — keeps a mirror of the solution block it
     believes each replica holds, indexed by global replica id, and
     maintains the per-problem gain state through :meth:`commit` calls from
     the search loop.  :meth:`try_evaluate` — consulted by every problem's
@@ -748,7 +859,8 @@ class GainEngine:
 
         ``rows`` are the global replica ids of the ``solutions`` rows: the
         engine's state for replica ``r`` lives in row ``r`` whichever device
-        shard, worker or scalar loop evaluates it.
+        holds it and whichever fleet pass, worker or scalar loop evaluates
+        it.
         """
         if self._dead:
             return None

@@ -350,3 +350,61 @@ class TestHarnessIntegration:
         row = run_ppp_experiment(SPEC, 1, trials=2, max_iterations=10)
         table = format_experiment_table([row])
         assert "H2D" not in table
+
+
+class TestFleetPass:
+    """Every device of a step is scored by one problem call; the launches
+    only store their slices, and per-thread launches still evaluate."""
+
+    @pytest.mark.parametrize("mode", TRANSFER_MODES)
+    @pytest.mark.parametrize("devices", [1, 3])
+    def test_one_problem_call_per_step(self, problem, neighborhood, monkeypatch, mode, devices):
+        calls = []
+        real = type(problem).evaluate_neighborhood_batch
+
+        def spy(self, solutions, moves, **kwargs):
+            calls.append(solutions.shape[0])
+            return real(self, solutions, moves, **kwargs)
+
+        monkeypatch.setattr(type(problem), "evaluate_neighborhood_batch", spy)
+        with MultiGPUEvaluator(problem, neighborhood, devices=devices) as evaluator:
+            MultiStartRunner(
+                evaluator, max_iterations=5, transfer_mode=mode,
+                target_fitness=float("-inf"),
+            ).run(seeds=_seeds())
+            assert evaluator.stats.calls == 5
+            launches = sum(ctx.stats.kernel_launches for ctx in evaluator.pool.contexts)
+        assert calls == [REPLICAS] * 5
+        if mode != "persistent":
+            assert launches == devices * 5
+
+    @pytest.mark.parametrize("mode", TRANSFER_MODES)
+    def test_per_thread_launches_match_the_fleet_pass(self, mode):
+        from repro.gpu.kernel import ExecutionMode
+
+        small = make_table_instance((9, 9), trial=0)
+        neighborhood = KHammingNeighborhood(small.n, ORDER)
+
+        def run(execution):
+            with MultiGPUEvaluator(
+                small, neighborhood, devices=2, mode=execution
+            ) as evaluator:
+                result = MultiStartRunner(
+                    evaluator, max_iterations=3, transfer_mode=mode,
+                    target_fitness=float("-inf"),
+                ).run(seeds=[1, 2, 3])
+                contexts = evaluator.pool.contexts
+                return (
+                    _records(result),
+                    evaluator.stats.simulated_time,
+                    [(c.stats.kernel_launches, c.stats.h2d_bytes, c.stats.d2h_bytes)
+                     for c in contexts],
+                )
+
+        if mode == "full":
+            # Full-mode slices cut replicas mid-neighborhood: their store-only
+            # launches have no per-thread body, as before the fleet pass.
+            with pytest.raises(ValueError, match="per-thread"):
+                run(ExecutionMode.PER_THREAD)
+            return
+        assert run(ExecutionMode.PER_THREAD) == run(ExecutionMode.VECTORIZED)

@@ -109,14 +109,12 @@ SERVING_EVALUATORS = {
     "multi-gpu-4": lambda p, nb: MultiGPUEvaluator(p, nb, devices=4),
 }
 DRIVERS = ("tabu", "lockstep", "continuous")
+#: Every evaluator x transfer mode, multi-GPU ``full`` included: its slices
+#: cut replicas mid-neighborhood, but one fleet pass scores them all.
 SERVING_CELLS = (
-    [("cpu", "full"), ("gpu", "full")]
-    + [(key, mode) for key in ("gpu", "multi-gpu-2", "multi-gpu-4") for mode in MODES[1:]]
+    [("cpu", "full")]
+    + [(key, mode) for key in ("gpu", "multi-gpu-2", "multi-gpu-4") for mode in MODES]
 )
-#: Multi-GPU full mode splits the flat S x M space mid-replica, so its
-#: slices are recomputed from partial move lists: the one cell the engine
-#: does not serve.
-RECOMPUTE_CELLS = [("multi-gpu-2", "full"), ("multi-gpu-4", "full")]
 
 
 def run_driver(driver, evaluator, mode):
@@ -172,35 +170,64 @@ def engines(monkeypatch):
     return created
 
 
-class TestServingMatrix:
-    """The engine must serve every shard of every evaluator, transfer mode
-    and driver — not merely stay bit-identical by declining."""
+def device_counters(evaluator):
+    """Per-device launches and h2d/d2h/p2p bytes, plus simulated time."""
+    if hasattr(evaluator, "pool"):
+        contexts = evaluator.pool.contexts
+    elif hasattr(evaluator, "context"):
+        contexts = [evaluator.context]
+    else:
+        contexts = []  # a host evaluator prices no device
+    return {
+        "devices": [
+            (ctx.stats.kernel_launches, ctx.stats.h2d_bytes, ctx.stats.d2h_bytes,
+             ctx.stats.p2p_bytes)
+            for ctx in contexts
+        ],
+        "simulated_time": evaluator.stats.simulated_time,
+    }
 
-    def run_cell(self, engines, key, mode, driver):
+
+class TestServingMatrix:
+    """The engine must serve every fleet step of every evaluator, transfer
+    mode and driver — not merely stay bit-identical by declining — at one
+    engine evaluation per fleet-level evaluation call, whatever the number
+    of devices the step is split across."""
+
+    def run_cell(self, key, mode, driver, order):
         problem = make_table_instance((16, 16), trial=0)
-        neighborhood = KHammingNeighborhood(problem.n, 2)
+        neighborhood = KHammingNeighborhood(problem.n, order)
         with SERVING_EVALUATORS[key](problem, neighborhood) as evaluator:
             out_of_band = run_driver(driver, evaluator, mode)
-            subs = getattr(evaluator, "_sub_evaluators", [evaluator])
-            steps = sum(sub.stats.calls for sub in subs)
-        assert len(engines) == 1
-        return engines[0].stats, steps, out_of_band
+            return evaluator.stats.calls, out_of_band, device_counters(evaluator)
 
-    @pytest.mark.parametrize("driver", DRIVERS)
-    @pytest.mark.parametrize("key,mode", SERVING_CELLS)
-    def test_engine_serves_every_shard(self, engines, key, mode, driver):
-        stats, steps, out_of_band = self.run_cell(engines, key, mode, driver)
+    def check_cell(self, engines, monkeypatch, key, mode, driver, order):
+        steps, out_of_band, counters = self.run_cell(key, mode, driver, order)
+        assert len(engines) == 1
+        stats = engines[0].stats
         assert steps > 0
         assert stats["declined"] == 0, stats
         assert stats["evals"] == steps, stats
-        # A wrong row base re-derives rows every step instead of committing.
+        # A wrong row id re-derives rows every step instead of committing.
         assert 0 < stats["reinit_rows"] <= out_of_band, stats
+        # Serving changes no priced quantity: per-device launches, bytes and
+        # simulated time equal the recompute run of the same cell.
+        monkeypatch.setenv("REPRO_INCREMENTAL", "0")
+        assert self.run_cell(key, mode, driver, order) == (steps, out_of_band, counters)
+        assert engines[1:] == [None]
 
     @pytest.mark.parametrize("driver", DRIVERS)
-    @pytest.mark.parametrize("key,mode", RECOMPUTE_CELLS)
-    def test_multi_gpu_full_mode_recomputes(self, engines, key, mode, driver):
-        stats, _steps, _ = self.run_cell(engines, key, mode, driver)
-        assert stats["evals"] == 0 and stats["reinit_rows"] == 0, stats
+    @pytest.mark.parametrize("key,mode", SERVING_CELLS)
+    def test_engine_serves_every_shard(self, engines, monkeypatch, key, mode, driver):
+        self.check_cell(engines, monkeypatch, key, mode, driver, order=2)
+
+    @pytest.mark.parametrize("driver", DRIVERS)
+    @pytest.mark.parametrize("key,mode", SERVING_CELLS)
+    def test_one_flip_engine_serves_every_shard(
+        self, engines, monkeypatch, key, mode, driver
+    ):
+        """1-Hamming PPP (Table I, ``repro serve``) has its own gain state."""
+        self.check_cell(engines, monkeypatch, key, mode, driver, order=1)
 
 
 class TestScalarSearches:
@@ -295,8 +322,9 @@ class TestInvalidationPaths:
         assert with_engine == multi_gpu_signature(mode, fault_plan="fail:1@6")
 
     def test_resync_check_runs_on_every_shard(self, engines, monkeypatch):
-        """REPRO_INCREMENTAL_CHECK=1 recomputes every served shard of a
-        4-device lockstep and asserts it matches."""
+        """REPRO_INCREMENTAL_CHECK=1 recomputes every served fleet pass of a
+        4-device lockstep — all four shards at once — and asserts it
+        matches."""
         monkeypatch.setenv("REPRO_INCREMENTAL_CHECK", "1")
         problem = make_table_instance((16, 16), trial=0)
         neighborhood = KHammingNeighborhood(problem.n, 2)
@@ -305,10 +333,12 @@ class TestInvalidationPaths:
                 evaluator, max_iterations=8, transfer_mode="delta",
                 target_fitness=float("-inf"),
             ).run(seeds=range(8))
-            shards = sum(sub.stats.calls for sub in evaluator._sub_evaluators)
+            steps = evaluator.stats.calls
+            launches = sum(sub.stats.calls for sub in evaluator._sub_evaluators)
         (engine,) = engines
-        assert engine.stats["evals"] == shards == 4 * 8
-        assert engine.stats["checks"] == shards
+        assert launches == 4 * steps
+        assert engine.stats["evals"] == steps == 8
+        assert engine.stats["checks"] == steps
 
     def test_rebalance_keeps_gain_state(self, engines, monkeypatch):
         """Engine rows are global replica ids: migrating replicas between

@@ -21,6 +21,7 @@ from repro.problems import (
 )
 from repro.problems.fastpath import BoundedCache, MoveTableCache, cache_stats
 from repro.problems.incremental import (
+    SCRATCH_ROWS,
     GainEngine,
     attach_gain_engine,
     create_gain_engine,
@@ -70,8 +71,8 @@ def test_randomized_commits_stay_bit_identical(name, order):
         got = engine.try_evaluate(solutions, moves, rows=all_rows)
         want = reference(problem, solutions, moves)
         if got is None:
-            # Outside the model (e.g. the PPP state is pair-flip only):
-            # declining is the contract, nothing to compare.
+            # Outside the compiled model: declining is the contract,
+            # nothing to compare.
             assert not engine.stats["evals"]
             return
         served_any = True
@@ -91,6 +92,46 @@ def test_randomized_commits_stay_bit_identical(name, order):
             solutions[victim] = problem.random_solution(rng)
     assert served_any
     assert engine.stats["reinit_rows"] > rows  # initial derivation + self-heals
+
+
+@pytest.mark.parametrize("m,n", [(11, 15), (31, 31), (73, 73), (101, 117)])
+@pytest.mark.parametrize("permuted", [False, True])
+def test_ppp_one_flip_state_serves_bit_identically(m, n, permuted):
+    """The 1-flip PPP state serves every round of 30 commits, on the
+    canonical 1-Hamming table and on a permuted one."""
+    problem = make_table_instance((m, n), trial=0)
+    moves = frozen_moves(problem.n, 1)
+    if permuted:
+        moves = np.ascontiguousarray(moves[::-1])
+        moves.setflags(write=False)
+    rng = np.random.default_rng(m * n)
+    rows = 5
+    solutions = random_block(problem, rng, rows)
+    engine = GainEngine(problem, rows_hint=rows)
+    all_rows = np.arange(rows, dtype=np.int64)
+    for _ in range(30):
+        got = engine.try_evaluate(solutions, moves, rows=all_rows)
+        np.testing.assert_array_equal(got, reference(problem, solutions, moves))
+        bits = rng.integers(0, problem.n, size=(rows, 1)).astype(np.int64)
+        engine.commit(all_rows, bits)
+        solutions[all_rows[:, None], bits] ^= 1
+    assert engine.stats["evals"] == 30
+    assert engine.stats["reinit_rows"] == rows
+
+
+def test_ppp_pair_state_scratch_blocks_are_exact():
+    """Enough replicas that the pair state's linear-term GEMM runs through
+    several bounded scratch blocks: still bit-identical."""
+    problem = make_table_instance((73, 73), trial=0)
+    moves = frozen_moves(problem.n, 2)
+    rng = np.random.default_rng(3)
+    rows = 24
+    solutions = random_block(problem, rng, rows)
+    engine = GainEngine(problem, rows_hint=rows)
+    all_rows = np.arange(rows, dtype=np.int64)
+    got = engine.try_evaluate(solutions, moves, rows=all_rows)
+    assert engine._state.rp * rows > 2 * SCRATCH_ROWS
+    np.testing.assert_array_equal(got, reference(problem, solutions, moves))
 
 
 @pytest.mark.parametrize("name", sorted(PROBLEM_FACTORIES))
