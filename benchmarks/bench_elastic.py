@@ -25,8 +25,9 @@ pays).  The benchmark asserts all of that before reporting
 * that the restored leg finishes with identical records.
 
 Run as a script (``python benchmarks/bench_elastic.py [--smoke]``) or via
-``pytest benchmarks/bench_elastic.py --benchmark-only``.  Both entry
-points write ``benchmarks/BENCH_elastic.json``.
+``pytest benchmarks/bench_elastic.py --benchmark-only``. The script writes
+``benchmarks/BENCH_elastic.json``, or with ``--smoke``
+``.bench_out/smoke/BENCH_elastic.json`` (``--json`` overrides either).
 """
 
 import argparse
@@ -36,6 +37,8 @@ import time
 from pathlib import Path
 
 import pytest
+
+from _records import add_record_arguments, resolve_record_path
 
 from repro.harness import run_ppp_experiment
 
@@ -170,13 +173,16 @@ def test_elastic_fleet(benchmark):
     assert payload["rejoin_recovery"] >= 1.0
 
 
-def main() -> None:
+def parse_args(argv=None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--smoke", action="store_true",
-                        help="small configuration for CI (seconds, not minutes)")
-    parser.add_argument("--json", type=Path, default=JSON_PATH,
-                        help="where to write the machine-readable results")
-    args = parser.parse_args()
+    add_record_arguments(parser)
+    args = parser.parse_args(argv)
+    resolve_record_path(args, JSON_PATH)
+    return args
+
+
+def main() -> None:
+    args = parse_args()
     payload = measure(smoke=args.smoke)
     spec = payload["instance"]
     print(f"instance {spec['m']} x {spec['n']}, {spec['order']}-Hamming, "

@@ -28,8 +28,9 @@ modes with peer routing on and off, and compares
   timing properties, never functional ones).
 
 Run as a script (``python benchmarks/bench_interconnect.py [--smoke]``) or
-via ``pytest benchmarks/bench_interconnect.py --benchmark-only``.  Both
-entry points write ``benchmarks/BENCH_interconnect.json``.
+via ``pytest benchmarks/bench_interconnect.py --benchmark-only``. The script
+writes ``benchmarks/BENCH_interconnect.json``, or with ``--smoke``
+``.bench_out/smoke/BENCH_interconnect.json`` (``--json`` overrides either).
 """
 
 import argparse
@@ -39,6 +40,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+
+from _records import add_record_arguments, resolve_record_path
 
 from repro.core import MultiGPUEvaluator
 from repro.harness.experiment import ExperimentRow, _collect_transfer_stats
@@ -233,13 +236,16 @@ def test_interconnect_contention(benchmark):
     assert payload["full_vs_persistent_uplink_bytes"] > 1.0
 
 
-def main() -> None:
+def parse_args(argv=None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--smoke", action="store_true",
-                        help="small configuration for CI (seconds, not minutes)")
-    parser.add_argument("--json", type=Path, default=JSON_PATH,
-                        help="where to write the machine-readable results")
-    args = parser.parse_args()
+    add_record_arguments(parser)
+    args = parser.parse_args(argv)
+    resolve_record_path(args, JSON_PATH)
+    return args
+
+
+def main() -> None:
+    args = parse_args()
     payload = measure(smoke=args.smoke)
     spec = payload["instance"]
     print(f"instance {spec['m']} x {spec['n']}, {spec['order']}-Hamming, "

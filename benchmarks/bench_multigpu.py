@@ -23,9 +23,9 @@ bit-for-bit (same seeds, same trajectories); the benchmark asserts that
 before reporting.
 
 Run as a script (``python benchmarks/bench_multigpu.py [--smoke]``) or via
-``pytest benchmarks/bench_multigpu.py --benchmark-only``.  Both entry points
-write ``benchmarks/BENCH_multigpu.json`` so the perf trajectory is tracked
-across PRs.
+``pytest benchmarks/bench_multigpu.py --benchmark-only``. The script writes
+``benchmarks/BENCH_multigpu.json``, or with ``--smoke``
+``.bench_out/smoke/BENCH_multigpu.json`` (``--json`` overrides either).
 """
 
 import argparse
@@ -34,6 +34,8 @@ import time
 from pathlib import Path
 
 import pytest
+
+from _records import add_record_arguments, resolve_record_path
 
 from repro.harness import run_ppp_experiment
 
@@ -156,13 +158,16 @@ def test_multigpu_scheduler(benchmark):
     assert payload["multi_gpu_speedup"] > 1.0
 
 
-def main() -> None:
+def parse_args(argv=None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--smoke", action="store_true",
-                        help="small configuration for CI (seconds, not minutes)")
-    parser.add_argument("--json", type=Path, default=JSON_PATH,
-                        help="where to write the machine-readable results")
-    args = parser.parse_args()
+    add_record_arguments(parser)
+    args = parser.parse_args(argv)
+    resolve_record_path(args, JSON_PATH)
+    return args
+
+
+def main() -> None:
+    args = parse_args()
     payload = measure(smoke=args.smoke)
     spec = payload["instance"]
     print(f"instance {spec['m']} x {spec['n']}, {spec['order']}-Hamming, "

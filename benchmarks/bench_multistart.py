@@ -11,9 +11,9 @@ into one batched ``(S, n) -> (S, M)`` call.  This benchmark measures
   per iteration instead of once per replica per iteration.
 
 Run it as a script (``python benchmarks/bench_multistart.py [--smoke]``) or
-through ``pytest benchmarks/bench_multistart.py --benchmark-only``.  The
-script entry point writes ``benchmarks/BENCH_multistart.json`` so the perf
-trajectory is tracked across PRs.
+through ``pytest benchmarks/bench_multistart.py --benchmark-only``. The
+script writes ``benchmarks/BENCH_multistart.json``, or with ``--smoke``
+``.bench_out/smoke/BENCH_multistart.json`` (``--json`` overrides either).
 """
 
 import argparse
@@ -22,6 +22,8 @@ import time
 from pathlib import Path
 
 import pytest
+
+from _records import add_record_arguments, resolve_record_path
 
 from repro.core import GPUEvaluator
 from repro.harness import run_ppp_experiment
@@ -118,15 +120,18 @@ def test_batched_multistart_speedup(benchmark):
     assert savings["batched_transfer_time_s"] < savings["serial_transfer_time_s"]
 
 
-def main() -> None:
+def parse_args(argv=None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(
         description="batched lockstep multi-start vs the serial trial loop"
     )
-    parser.add_argument("--smoke", action="store_true",
-                        help="small configuration for CI (seconds, not minutes)")
-    parser.add_argument("--json", type=Path, default=JSON_PATH,
-                        help="where to write the machine-readable results")
-    args = parser.parse_args()
+    add_record_arguments(parser)
+    args = parser.parse_args(argv)
+    resolve_record_path(args, JSON_PATH)
+    return args
+
+
+def main() -> None:
+    args = parse_args()
     trials = SMOKE_TRIALS if args.smoke else TRIALS
     max_iterations = SMOKE_MAX_ITERATIONS if args.smoke else MAX_ITERATIONS
 

@@ -22,8 +22,9 @@ trajectories); the benchmark asserts that, and asserts the launch count
 drops by at least the lockstep iteration count, before reporting.
 
 Run as a script (``python benchmarks/bench_persistent.py [--smoke]``) or via
-``pytest benchmarks/bench_persistent.py --benchmark-only``.  Both entry
-points write ``benchmarks/BENCH_persistent.json``.
+``pytest benchmarks/bench_persistent.py --benchmark-only``. The script
+writes ``benchmarks/BENCH_persistent.json``, or with ``--smoke``
+``.bench_out/smoke/BENCH_persistent.json`` (``--json`` overrides either).
 """
 
 import argparse
@@ -32,6 +33,8 @@ import time
 from pathlib import Path
 
 import pytest
+
+from _records import add_record_arguments, resolve_record_path
 
 from repro.harness import run_ppp_experiment
 
@@ -135,13 +138,16 @@ def test_persistent_launch_collapse(benchmark):
     assert persistent["h2d_bytes"] < reduced["h2d_bytes"]
 
 
-def main() -> None:
+def parse_args(argv=None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--smoke", action="store_true",
-                        help="small configuration for CI (seconds, not minutes)")
-    parser.add_argument("--json", type=Path, default=JSON_PATH,
-                        help="where to write the machine-readable results")
-    args = parser.parse_args()
+    add_record_arguments(parser)
+    args = parser.parse_args(argv)
+    resolve_record_path(args, JSON_PATH)
+    return args
+
+
+def main() -> None:
+    args = parse_args()
     payload = measure(smoke=args.smoke)
     spec = payload["instance"]
     print(f"instance {spec['m']} x {spec['n']}, {spec['order']}-Hamming, "

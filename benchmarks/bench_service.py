@@ -21,8 +21,9 @@ wall clock is guarded against regressing more than 2x over the recorded
 baseline.
 
 Run as a script (``python benchmarks/bench_service.py [--smoke]``) or via
-``pytest benchmarks/bench_service.py --benchmark-only``.  Both entry points
-write ``benchmarks/BENCH_service.json``.
+``pytest benchmarks/bench_service.py --benchmark-only``. The script writes
+``benchmarks/BENCH_service.json``, or with ``--smoke``
+``.bench_out/smoke/BENCH_service.json`` (``--json`` overrides either).
 """
 
 import argparse
@@ -32,6 +33,8 @@ import time
 from pathlib import Path
 
 import pytest
+
+from _records import add_record_arguments, resolve_record_path
 
 from repro.core import GPUEvaluator, MultiGPUEvaluator
 from repro.harness import format_service_table
@@ -204,14 +207,19 @@ def test_solve_service(benchmark):
     assert not check_guard(payload)
 
 
-def main() -> int:
+def parse_args(argv=None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--smoke", action="store_true",
-                        help="headline point only, for CI (also enables the "
-                             "wall-clock regression guard)")
-    parser.add_argument("--json", type=Path, default=JSON_PATH,
-                        help="where to write the machine-readable results")
-    args = parser.parse_args()
+    add_record_arguments(
+        parser,
+        smoke_help="headline point only, for CI (also enables the wall-clock regression guard)",
+    )
+    args = parser.parse_args(argv)
+    resolve_record_path(args, JSON_PATH)
+    return args
+
+
+def main() -> int:
+    args = parse_args()
     payload = measure(smoke=args.smoke)
     spec = payload["instance"]
     print(f"instance {spec['m']} x {spec['n']}, {spec['order']}-Hamming, "

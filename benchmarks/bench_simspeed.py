@@ -29,11 +29,13 @@ makespans), which ``tests/localsearch/test_fastpath_identity.py`` and
 ``tests/localsearch/test_host_parallel.py`` enforce.
 
 Run as a script (``python benchmarks/bench_simspeed.py [--smoke]``) or via
-``pytest benchmarks/bench_simspeed.py --benchmark-only``.  Both entry points
-write ``benchmarks/BENCH_simspeed.json``.  With ``--smoke`` the script also
-acts as a CI regression guard: it exits non-zero when the smoke wall clock
-regresses more than 2x over the recorded smoke baseline (worker runs have
-their own baseline — they pay fork/IPC overhead on small batches).
+``pytest benchmarks/bench_simspeed.py --benchmark-only``. The script writes
+``benchmarks/BENCH_simspeed.json``, or with ``--smoke``
+``.bench_out/smoke/BENCH_simspeed.json`` (``--json`` overrides either). With
+``--smoke`` the script also acts as a CI regression guard: it exits non-zero
+when the smoke wall clock regresses more than 2x over the recorded smoke
+baseline (worker runs have their own baseline — they pay fork/IPC overhead
+on small batches).
 """
 
 import argparse
@@ -45,6 +47,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+
+from _records import add_record_arguments, resolve_record_path
 
 from repro.harness import run_ppp_experiment
 from repro.localsearch import TRANSFER_MODES
@@ -379,17 +383,20 @@ def test_simulator_wall_clock(benchmark):
     assert not check_guard(payload)
 
 
-def main() -> None:
+def parse_args(argv=None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--smoke", action="store_true",
-                        help="small configuration for CI (also enables the guard)")
+    add_record_arguments(parser, smoke_help="small configuration for CI (also enables the guard)")
     parser.add_argument("--workers", default=None,
                         help="comma-separated host worker counts to measure "
                              "(e.g. 1,2,4); counts > 1 shard the lockstep batch "
                              "across forked worker processes")
-    parser.add_argument("--json", type=Path, default=JSON_PATH,
-                        help="where to write the machine-readable results")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
+    resolve_record_path(args, JSON_PATH)
+    return args
+
+
+def main() -> None:
+    args = parse_args()
     workers_list = None
     if args.workers:
         workers_list = sorted({max(1, int(w)) for w in args.workers.split(",")})

@@ -38,6 +38,13 @@ over the piecewise-constant load profile yields the duration.
 An uncontended transfer therefore prices *exactly* as the legacy model
 (latency + bytes/bandwidth), and every contended transfer is at least that
 slow; the difference is recorded as the transfer's **contention stall**.
+
+Most copies on a dedicated fabric are exactly that uncontended case: a lone
+request whose links carry no committed transfer past its start.  The fluid
+integration then runs one round at a load of one per link, so the engine
+prices such a request in closed form instead — the same division the round
+performs, hence the same float.  Routes, and the capacity channels they
+occupy, are resolved once per topology and reused by every pricing.
 """
 
 from __future__ import annotations
@@ -189,6 +196,10 @@ class InterconnectTopology:
             raise ValueError(f"no host path for devices {missing}")
         self._host_paths = dict(host_paths)
         self._peer_paths = dict(peer_paths)
+        #: Resolved routes, built on first use: ``(device, kind)`` for host
+        #: copies, ``(src, dst)`` for peer copies (``None`` = no peer access).
+        self._host_routes: dict[tuple[str, HostMemoryKind], Route] = {}
+        self._peer_routes: dict[tuple[str, str], Route | None] = {}
         self.uplink = uplink
         self.links: dict[str, Link] = {}
         for path in (*host_paths.values(), *peer_paths.values()):
@@ -204,20 +215,24 @@ class InterconnectTopology:
 
     def host_route(self, device: str, kind: HostMemoryKind) -> Route:
         """The path of one host<->device copy for the given host-memory kind."""
-        try:
-            path = self._host_paths[device]
-        except KeyError:
-            raise KeyError(f"unknown device {device!r}; topology has {self.device_keys}")
-        return Route.over(path, kind)
+        route = self._host_routes.get((device, kind))
+        if route is None:
+            try:
+                path = self._host_paths[device]
+            except KeyError:
+                raise KeyError(f"unknown device {device!r}; topology has {self.device_keys}")
+            route = self._host_routes[(device, kind)] = Route.over(path, kind)
+        return route
 
     def peer_route(self, src: str, dst: str) -> Route | None:
         """The device->device path, or ``None`` when no peer access exists."""
-        path = self._peer_paths.get((src, dst))
-        if path is None:
-            path = self._peer_paths.get((dst, src))
-        if path is None:
-            return None
-        return Route.over(path, None)
+        key = (src, dst)
+        if key not in self._peer_routes:
+            path = self._peer_paths.get(key)
+            if path is None:
+                path = self._peer_paths.get((dst, src))
+            self._peer_routes[key] = None if path is None else Route.over(path, None)
+        return self._peer_routes[key]
 
     def has_peer_route(self, src: str, dst: str) -> bool:
         return self.peer_route(src, dst) is not None
@@ -517,17 +532,42 @@ class _ChannelLoad:
         return busy
 
 
+class _Lane:
+    """A route resolved for one direction: the channels it occupies.
+
+    Built once per (direction, endpoints, host-memory kind) and shared by
+    every request taking that path.
+    """
+
+    __slots__ = ("route", "link_names", "channels", "keys", "crosses_once", "alone_rate")
+
+    def __init__(self, route: Route, direction: str) -> None:
+        self.route = route
+        self.link_names = tuple(link.name for link in route.links)
+        self.channels = tuple((link, link.channel(direction)) for link in route.links)
+        #: ``(link name, channel)`` load keys, in path order.
+        self.keys = tuple((link.name, channel) for link, channel in self.channels)
+        #: No channel appears twice on the path (a route that does would
+        #: load that channel twice even when alone).
+        self.crosses_once = len(set(self.keys)) == len(self.keys)
+        # The fluid round's rate at a load of one on every channel: the rate
+        # cap, bounded by each link's full bandwidth, folded in path order.
+        rate = route.rate_cap
+        for link in route.links:
+            rate = min(rate, link.bandwidth / 1)
+        self.alone_rate = rate
+
+
 class _PricingItem:
     """Working state of one request inside the fluid arbitration."""
 
-    __slots__ = ("request", "route", "channels", "remaining", "duration", "finished")
+    __slots__ = ("request", "lane", "route", "channels", "remaining", "duration", "finished")
 
-    def __init__(self, request: TransferRequest, route: Route) -> None:
+    def __init__(self, request: TransferRequest, lane: _Lane) -> None:
         self.request = request
-        self.route = route
-        self.channels = tuple(
-            (link, link.channel(request.direction)) for link in route.links
-        )
+        self.lane = lane
+        self.route = lane.route
+        self.channels = lane.channels
         self.remaining = float(request.nbytes)
         self.duration = 0.0
         self.finished = self.remaining <= 0.0
@@ -559,10 +599,25 @@ class TransferEngine:
         self._pending_faults: list[tuple[int, float]] = []
         self.retried_transfers = 0
         self.retry_time = 0.0
+        #: Requests priced by the closed form of :meth:`_price_alone` rather
+        #: than the fluid integration (diagnostic; not checkpointed).
+        self.closed_form_pricings = 0
+        self._lanes: dict[tuple, _Lane] = {}
 
     # ------------------------------------------------------------------
     # Routing
     # ------------------------------------------------------------------
+    def _lane(self, request: TransferRequest) -> _Lane:
+        """The resolved lane of ``request``, built on first use."""
+        if request.direction == P2P:
+            key = (P2P, request.device, request.peer)
+        else:
+            key = (request.direction, request.device, request.kind)
+        lane = self._lanes.get(key)
+        if lane is None:
+            lane = self._lanes[key] = _Lane(self._route(request), request.direction)
+        return lane
+
     def _route(self, request: TransferRequest) -> Route:
         if request.direction == P2P:
             if request.peer is None:
@@ -679,7 +734,7 @@ class TransferEngine:
         for request in requests:
             if request.nbytes < 0:
                 raise ValueError(f"nbytes must be non-negative, got {request.nbytes}")
-        items = [_PricingItem(request, self._route(request)) for request in requests]
+        items = [_PricingItem(request, self._lane(request)) for request in requests]
         self._arbitrate(items)
         grants = []
         for item in items:
@@ -696,21 +751,48 @@ class TransferEngine:
                 dedicated=(
                     item.route.latency + float(request.nbytes) / item.route.rate_cap + penalty
                 ),
-                links=tuple(link.name for link in item.route.links),
+                links=item.lane.link_names,
             )
             self._commit(item, grant)
             grants.append(grant)
         return grants
 
     # ------------------------------------------------------------------
-    def _load(self, link: Link, channel: str) -> _ChannelLoad:
-        key = (link.name, channel)
-        if key not in self._loads:
-            self._loads[key] = _ChannelLoad()
-        return self._loads[key]
+    def _load(self, key: tuple[str, str]) -> _ChannelLoad:
+        load = self._loads.get(key)
+        if load is None:
+            load = self._loads[key] = _ChannelLoad()
+        return load
+
+    def _price_alone(self, item: _PricingItem) -> bool:
+        """Price a lone request in closed form when nothing contends with it.
+
+        When no channel on the request's path carries a committed interval
+        ending after its start, the fluid integration runs exactly one round:
+        one transfer on every channel, no boundary ahead, so the request
+        finishes at ``nbytes / min(rate_cap, bandwidth / 1, ...)``.  This
+        computes that same quotient directly and reports whether it applied.
+        """
+        lane = item.lane
+        if not lane.crosses_once:
+            return False
+        start = item.request.start
+        for key in lane.keys:
+            load = self._loads.get(key)
+            # ``ends`` is sorted and every start precedes its end, so the
+            # channel is idle from ``start`` on iff its last end is not later.
+            if load is not None and load.ends and load.ends[-1] > start:
+                return False
+        item.duration = item.remaining / lane.alone_rate
+        item.remaining = 0.0
+        item.finished = True
+        self.closed_form_pricings += 1
+        return True
 
     def _arbitrate(self, items: list[_PricingItem]) -> None:
         """Fluid fair-share integration of one batch against committed load."""
+        if len(items) == 1 and self._price_alone(items[0]):
+            return
         unfinished = [item for item in items if not item.finished]
         if not unfinished:
             return
@@ -794,8 +876,8 @@ class TransferEngine:
         self.stall_by_device[request.device] = (
             self.stall_by_device.get(request.device, 0.0) + grant.stall
         )
-        for link, channel in item.channels:
-            self._load(link, channel).commit(grant.start, grant.end, float(request.nbytes))
+        for link, key in zip(item.route.links, item.lane.keys):
+            self._load(key).commit(grant.start, grant.end, float(request.nbytes))
             if link.shared:
                 stream = self.timeline.stream(link.name)
                 stream.append_interval(
@@ -917,6 +999,7 @@ class TransferEngine:
         self._pending_faults.clear()
         self.retried_transfers = 0
         self.retry_time = 0.0
+        self.closed_form_pricings = 0
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"TransferEngine(topology={self.topology.name!r}, transfers={self.transfers})"

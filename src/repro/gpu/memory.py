@@ -140,13 +140,24 @@ class MemoryManager:
     capacity_bytes: int
     allocations: dict[str, DeviceBuffer] = field(default_factory=dict)
     transfers: list[TransferRecord] = field(default_factory=list)
+    #: Running total behind :attr:`allocated_bytes`, kept by every method
+    #: that adds or drops a buffer.
+    _allocated: int = field(default=0, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._allocated = sum(self._footprint(buf) for buf in self.allocations.values())
+
+    @staticmethod
+    def _footprint(buf: DeviceBuffer) -> int:
+        """Bytes ``buf`` holds against the device capacity (shared memory: none)."""
+        return 0 if buf.space is MemorySpace.SHARED else buf.nbytes
 
     # ------------------------------------------------------------------
     # Allocation
     # ------------------------------------------------------------------
     @property
     def allocated_bytes(self) -> int:
-        return sum(buf.nbytes for buf in self.allocations.values() if buf.space is not MemorySpace.SHARED)
+        return self._allocated
 
     def alloc(
         self,
@@ -166,18 +177,20 @@ class MemoryManager:
             )
         buf = DeviceBuffer(name=name, data=data, space=space)
         self.allocations[name] = buf
+        self._allocated += self._footprint(buf)
         return buf
 
     def free(self, name: str) -> None:
         if name not in self.allocations:
             raise KeyError(f"no device buffer named {name!r}")
-        del self.allocations[name]
+        self._allocated -= self._footprint(self.allocations.pop(name))
 
     def get(self, name: str) -> DeviceBuffer:
         return self.allocations[name]
 
     def free_all(self) -> None:
         self.allocations.clear()
+        self._allocated = 0
 
     # ------------------------------------------------------------------
     # Transfers

@@ -25,7 +25,7 @@ EXPERIMENTS.md.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .device import DeviceSpec, HostSpec
 from .dtypes import FITNESS_BYTES
@@ -93,6 +93,10 @@ class KernelTimeBreakdown:
         return "memory" if self.memory_time > self.compute_time else "compute"
 
 
+#: Launch shapes a :class:`GPUTimingModel` remembers before starting over.
+KERNEL_TIME_MEMO_SIZE = 256
+
+
 @dataclass
 class GPUTimingModel:
     """Roofline + latency-hiding timing model for one device."""
@@ -101,6 +105,10 @@ class GPUTimingModel:
     #: Warps per SM below which throughput degrades linearly.  Derived from
     #: the device's latency characteristics unless overridden.
     latency_hiding_warps: float | None = None
+    #: :meth:`kernel_time` results by ``(config, cost, active threads)``.  A
+    #: model is never mutated after construction and all three keys are
+    #: immutable, so a repeated launch shape reuses its breakdown.
+    _kernel_times: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def _hiding_threshold(self) -> float:
         if self.latency_hiding_warps is not None:
@@ -135,6 +143,18 @@ class GPUTimingModel:
         """
         threads = config.total_threads if active_threads is None else int(active_threads)
         threads = max(threads, 0)
+        key = (config, cost, threads)
+        breakdown = self._kernel_times.get(key)
+        if breakdown is None:
+            breakdown = self._kernel_time(config, cost, threads)
+            if len(self._kernel_times) >= KERNEL_TIME_MEMO_SIZE:
+                self._kernel_times.clear()
+            self._kernel_times[key] = breakdown
+        return breakdown
+
+    def _kernel_time(
+        self, config: LaunchConfig, cost: KernelCostProfile, threads: int
+    ) -> KernelTimeBreakdown:
         occ = occupancy(
             self.device,
             config,

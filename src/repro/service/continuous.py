@@ -142,6 +142,7 @@ class ContinuousRunner(MultiStartRunner):
         self.targets = np.zeros(capacity, dtype=np.float64)
         self.active = np.zeros(capacity, dtype=bool)
         self.leased = np.zeros(capacity, dtype=bool)
+        self._num_leased = 0
         self.reasons = np.array(["max_iterations"] * capacity, dtype=object)
         self.histories: list[list[float]] = [[] for _ in range(capacity)]
         self.lockstep = 0
@@ -210,8 +211,17 @@ class ContinuousRunner(MultiStartRunner):
 
     @property
     def num_leased(self) -> int:
-        """Slots held by a tenant (searching or retired-awaiting-detach)."""
-        return int(self.leased.sum())
+        """Slots held by a tenant (searching or retired-awaiting-detach).
+
+        A stored count, O(1) to read: the admission loop asks for it once
+        per queued job per step.  Every method that leases or frees slots
+        recounts it through :meth:`_set_leased`.
+        """
+        return self._num_leased
+
+    def _set_leased(self, slots, value: bool) -> None:
+        self.leased[slots] = value
+        self._num_leased = int(np.count_nonzero(self.leased))
 
     @property
     def free_slots(self) -> int:
@@ -284,7 +294,7 @@ class ContinuousRunner(MultiStartRunner):
             self.last_applied[slots] = TABU_NEVER
         elif self._device_tabu:
             self.evaluator.write_tabu_rows(slots)
-        self.leased[slots] = True
+        self._set_leased(slots, True)
         self.active[slots] = True
         return slots
 
@@ -339,7 +349,7 @@ class ContinuousRunner(MultiStartRunner):
                     history=list(self.histories[slot]),
                 )
             )
-            self.leased[slot] = False
+            self._set_leased(slot, False)
             self.histories[slot] = []
         return results
 
@@ -379,7 +389,7 @@ class ContinuousRunner(MultiStartRunner):
             ),
         }
         self.active[slots] = False
-        self.leased[slots] = False
+        self._set_leased(slots, False)
         for slot in slots.tolist():
             self.histories[slot] = []
         return state
@@ -413,7 +423,7 @@ class ContinuousRunner(MultiStartRunner):
             self.last_applied[slots] = state["last_applied"]
         elif self._device_tabu:
             self.evaluator.write_tabu_rows(slots, state["tabu_stamps"])
-        self.leased[slots] = True
+        self._set_leased(slots, True)
         self.active[slots] = True
         return slots
 

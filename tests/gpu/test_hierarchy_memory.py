@@ -8,6 +8,7 @@ from repro.gpu import (
     GTX_280,
     GTX_8800,
     XEON_3GHZ,
+    DeviceBuffer,
     DeviceSpec,
     Dim3,
     MemoryManager,
@@ -165,6 +166,36 @@ class TestMemoryManager:
         mm = MemoryManager(capacity_bytes=100)
         mm.alloc("tile", (64,), np.float64, space=MemorySpace.SHARED)
         assert mm.allocated_bytes == 0
+
+    def test_running_allocated_bytes_matches_a_recount(self):
+        rng = np.random.default_rng(3)
+        mm = MemoryManager(capacity_bytes=1 << 20)
+
+        def recount():
+            return sum(
+                buf.nbytes
+                for buf in mm.allocations.values()
+                if buf.space is not MemorySpace.SHARED
+            )
+
+        for step in range(200):
+            name = f"b{rng.integers(8)}"
+            action = rng.integers(4)
+            if name in mm.allocations and action == 0:
+                mm.free(name)
+            elif name in mm.allocations:
+                mm.to_device(name, np.zeros_like(mm.get(name).data))
+            else:
+                space = MemorySpace.SHARED if action == 1 else MemorySpace.GLOBAL
+                mm.alloc(name, (int(rng.integers(1, 64)),), np.float32, space)
+            assert mm.allocated_bytes == recount(), step
+        mm.free_all()
+        assert mm.allocated_bytes == 0
+        seeded = MemoryManager(
+            capacity_bytes=1000,
+            allocations={"x": DeviceBuffer("x", np.zeros(10))},
+        )
+        assert seeded.allocated_bytes == 80
 
     def test_reset_statistics(self):
         mm = MemoryManager(capacity_bytes=10_000)

@@ -9,12 +9,17 @@ The load-bearing invariants:
 * overlapping transfers on a shared link each see their fair share of its
   capacity, so a contended copy is never faster than a dedicated one;
 * bytes are conserved per link regardless of how the arbitration stretched
-  the copies.
+  the copies;
+* the closed form for a lone uncontended request equals the fluid
+  integration bit for bit, grants and committed state alike.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core import MultiGPUEvaluator
 from repro.gpu import (
     GTX_280,
     GTX_8800,
@@ -31,6 +36,9 @@ from repro.gpu import (
     timeline_report,
 )
 from repro.gpu.timing import GPUTimingModel
+from repro.localsearch.multistart import MultiStartRunner
+from repro.neighborhoods import KHammingNeighborhood
+from repro.problems import PermutedPerceptronProblem
 
 MIB = 1 << 20
 
@@ -383,3 +391,199 @@ class TestContextIntegration:
         assert not src.can_access_peer(dst)
         with pytest.raises(RuntimeError):
             src.copy_peer_async(dst, "x", np.zeros(8, dtype=np.uint8))
+
+
+class FluidOnlyEngine(TransferEngine):
+    """Reference engine that prices every request by the fluid integration."""
+
+    def _price_alone(self, item):
+        return False
+
+
+def half_duplex4():
+    """A custom fabric: half-duplex lanes behind a half-duplex shared bus.
+
+    ``gpu0``/``gpu1`` peer through their lanes and the bus; ``gpu2``/``gpu3``
+    bounce through host memory, crossing the bus twice.
+    """
+    bus = Link(name="bus", bandwidth=3.0e9, latency=1.0e-6, duplex=False, shared=True)
+    lanes = {
+        f"gpu{i}": Link(
+            name=f"lane{i}",
+            bandwidth=2.5e9 + 0.5e9 * i,
+            latency=4.0e-6,
+            duplex=False,
+            pageable_bandwidth=1.5e9,
+            pinned_latency=2.0e-6,
+        )
+        for i in range(4)
+    }
+    return InterconnectTopology(
+        "half-duplex",
+        device_keys=list(lanes),
+        host_paths={key: (bus, lane) for key, lane in lanes.items()},
+        peer_paths={
+            ("gpu0", "gpu1"): (lanes["gpu0"], bus, lanes["gpu1"]),
+            ("gpu2", "gpu3"): (bus, bus),
+        },
+        uplink=bus,
+    )
+
+
+PRICING_TOPOLOGIES = {
+    "dedicated": dedicated4,
+    "shared": shared4,
+    "switched": lambda: InterconnectTopology.switched([GTX_280] * 4),
+    "nvlink": lambda: InterconnectTopology.nvlink([GTX_280] * 4),
+    "half-duplex": half_duplex4,
+}
+
+
+@st.composite
+def pricing_scripts(draw):
+    """A topology plus a sequence of batches (and armed faults) to price."""
+    name = draw(st.sampled_from(sorted(PRICING_TOPOLOGIES)))
+    topology = PRICING_TOPOLOGIES[name]()
+    keys = topology.device_keys
+    pairs = [
+        (a, b) for a in keys for b in keys if a != b and topology.peer_route(a, b)
+    ]
+    steps = []
+    for _ in range(draw(st.integers(1, 12))):
+        if draw(st.integers(0, 9)) == 0:
+            steps.append(
+                (
+                    "fault",
+                    draw(st.integers(1, 2)),
+                    draw(st.integers(1, 3)),
+                    draw(st.sampled_from([0.0, 1.0e-6, 2.5e-5])),
+                )
+            )
+            continue
+        # Lone requests dominate real traffic; batches of up to four.
+        size = draw(st.sampled_from([1, 1, 1, 2, 3, 4]))
+        # Start relative to the committed horizon: inside it (overlapping
+        # earlier grants), at it, or after an idle gap.
+        anchor = draw(st.sampled_from(["inside", "at", "after"]))
+        fraction = draw(st.floats(0.0, 1.0))
+        batch = []
+        for _ in range(size):
+            direction = draw(st.sampled_from(["h2d", "d2h", "p2p"]))
+            if direction == "p2p":
+                device, peer = draw(st.sampled_from(pairs))
+                kind = None
+            else:
+                device, peer = draw(st.sampled_from(keys)), None
+                kind = draw(st.sampled_from(list(HostMemoryKind)))
+            nbytes = draw(
+                st.one_of(
+                    st.just(0),
+                    st.integers(1, 4 * MIB),
+                    st.floats(1.0, 8.0 * MIB, allow_nan=False, allow_infinity=False),
+                )
+            )
+            jitter = draw(st.sampled_from([0.0, 0.0, 1.0e-6, 3.7e-5]))
+            batch.append((device, direction, nbytes, kind, peer, jitter))
+        steps.append(("batch", anchor, fraction, batch))
+    return name, steps
+
+
+def replay(engine, steps):
+    """Price ``steps`` on ``engine``; returns every grant in order."""
+    grants = []
+    horizon = 0.0
+    for step in steps:
+        if step[0] == "fault":
+            _, count, retries, backoff = step
+            engine.inject_transfer_faults(count, retries=retries, backoff=backoff)
+            continue
+        _, anchor, fraction, batch = step
+        base = {"inside": horizon * fraction, "at": horizon}.get(
+            anchor, horizon + 1.0e-3 * fraction
+        )
+        requests = [
+            TransferRequest(
+                device=device,
+                direction=direction,
+                nbytes=nbytes,
+                kind=kind,
+                start=base + jitter,
+                peer=peer,
+            )
+            for device, direction, nbytes, kind, peer, jitter in batch
+        ]
+        out = engine.transfer_batch(requests)
+        horizon = max([horizon, *(grant.end for grant in out)])
+        grants.extend(out)
+    return grants
+
+
+class TestClosedFormPricing:
+    """The closed form for lone uncontended requests is the fluid loop's float."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(script=pricing_scripts())
+    def test_closed_form_equals_fluid_integration(self, script):
+        name, steps = script
+        fast = TransferEngine(PRICING_TOPOLOGIES[name]())
+        fluid = FluidOnlyEngine(PRICING_TOPOLOGIES[name]())
+        assert replay(fast, steps) == replay(fluid, steps)
+        assert fast.snapshot() == fluid.snapshot()
+        assert fluid.closed_form_pricings == 0
+
+    def test_half_duplex_bounce_route_keeps_the_loop(self):
+        # A path that crosses the same channel twice loads it twice even
+        # when alone: the closed form must decline it.
+        engine = TransferEngine(half_duplex4())
+        grant = engine.peer_transfer("gpu2", "gpu3", MIB)
+        assert engine.closed_form_pricings == 0
+        assert grant.stall > 0.0
+        engine.peer_transfer("gpu0", "gpu1", MIB, start=grant.end)
+        assert engine.closed_form_pricings == 1
+
+    def test_counter_is_diagnostic_only(self):
+        engine = TransferEngine(dedicated4())
+        engine.transfer("gpu0", "h2d", MIB)
+        engine.transfer("gpu0", "d2h", MIB)
+        assert engine.closed_form_pricings == 2
+        snap = engine.snapshot()
+        assert "closed_form_pricings" not in snap
+        restored = TransferEngine(dedicated4())
+        restored.restore(snap)
+        assert restored.closed_form_pricings == 0
+        engine.reset()
+        assert engine.closed_form_pricings == 0
+
+    def test_resident_run_prices_every_lone_transfer_in_closed_form(self):
+        problem = PermutedPerceptronProblem.generate(21, 21, rng=7)
+        neighborhood = KHammingNeighborhood(problem.n, 1)
+        evaluator = MultiGPUEvaluator(problem, neighborhood, devices=4)
+        engine = evaluator.pool.engine
+        lone = []
+        batch_sizes = []
+        price = engine.transfer_batch
+
+        def counting(requests):
+            batch_sizes.append(len(requests))
+            if len(requests) == 1:
+                lone.append(requests[0])
+            return price(requests)
+
+        engine.transfer_batch = counting
+        try:
+            MultiStartRunner(
+                evaluator, max_iterations=12, transfer_mode="reduced"
+            ).run(seeds=list(range(10)))
+        finally:
+            evaluator.close()
+        assert len(lone) > 100
+        assert engine.closed_form_pricings == len(lone)
+        assert any(size > 1 for size in batch_sizes)  # begin_search's upload
+
+    def test_batched_upload_on_shared_uplink_runs_the_loop(self):
+        pool = MultiGPU([GTX_280] * 4, topology="shared")
+        scheduler = DeviceScheduler(pool.contexts, engine=pool.engine)
+        scheduler.upload_batch([(i, f"x{i}", np.zeros(4096)) for i in range(4)])
+        assert pool.engine.transfers == 4
+        assert pool.engine.closed_form_pricings == 0
+        assert pool.engine.total_stall > 0.0

@@ -95,6 +95,45 @@ class TestTimingModelProperties:
         assert lenient.kernel_time(cfg, cost).memory_time < strict.kernel_time(cfg, cost).memory_time
 
 
+class TestKernelTimeMemo:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        threads=st.integers(min_value=1, max_value=200_000),
+        block=st.sampled_from([32, 64, 128, 256, 512]),
+        flops=st.floats(min_value=0.0, max_value=1e4),
+        gmem=st.floats(min_value=0.0, max_value=1e3),
+        texture=st.sampled_from([0.0, 16.0]),
+    )
+    def test_repeated_shapes_reuse_an_identical_breakdown(
+        self, threads, block, flops, gmem, texture
+    ):
+        warm = GPUTimingModel(GTX_280)
+        cfg = grid_for(threads, block)
+        cost = KernelCostProfile(flops=flops, gmem_bytes=gmem, texture_bytes=texture)
+        first = warm.kernel_time(cfg, cost, active_threads=threads)
+        # An equal (not identical) key hits the memo; a fresh model agrees.
+        again = warm.kernel_time(
+            grid_for(threads, block),
+            KernelCostProfile(flops=flops, gmem_bytes=gmem, texture_bytes=texture),
+            active_threads=threads,
+        )
+        assert again is first
+        assert GPUTimingModel(GTX_280).kernel_time(cfg, cost, active_threads=threads) == first
+
+    def test_memo_is_bounded_and_per_model(self):
+        from repro.gpu.timing import KERNEL_TIME_MEMO_SIZE
+
+        model = GPUTimingModel(GTX_280)
+        other = GPUTimingModel(GTX_280, latency_hiding_warps=1.0)
+        cost = KernelCostProfile(flops=10, gmem_bytes=4000)
+        cfg = grid_for(256, 256)
+        assert model.kernel_time(cfg, cost) != other.kernel_time(cfg, cost)
+        for threads in range(1, 3 * KERNEL_TIME_MEMO_SIZE):
+            model.kernel_time(cfg, cost, active_threads=threads)
+            assert len(model._kernel_times) <= KERNEL_TIME_MEMO_SIZE
+        assert model == GPUTimingModel(GTX_280)
+
+
 class TestHostModelProperties:
     def test_memory_bound_host_workload(self):
         host = HostTimingModel(XEON_3GHZ)
