@@ -28,7 +28,11 @@ be executed and therefore in the **simulated time** they accumulate:
 Both GPU evaluators compute a step once on the host: a single problem call
 (the *fleet pass*) scores the work of every device, and each device's
 launch is handed its slice as an explicit launch argument, stores it and is
-priced as the evaluation it models.  A ``GPUEvaluator`` is the fleet of one.
+priced as the evaluation it models.  The resident reduction epilogue — the
+tabu mask, the fused argmin / first improvement and the robust-tabu
+escape — likewise runs once per fleet step, on the stacked block; each
+device then only prices its launch chain, stores its share of the result
+and writes its tabu stamps.  A ``GPUEvaluator`` is the fleet of one.
 
 The GPU evaluators additionally expose a **device-resident** session API
 (:meth:`GPUEvaluator.begin_search` / :meth:`GPUEvaluator.apply_deltas` /
@@ -90,6 +94,15 @@ __all__ = [
 
 #: Fused on-device reduction operators of the device-resident pipeline.
 REDUCE_OPS = ("argmin", "first-improvement")
+#: Device buffers of a resident session, named ``"<kind>:<evaluator id>"``.
+_SESSION_BUFFERS = (
+    "resident",
+    "deltas",
+    "reduction_packet",
+    "resident_fitnesses",
+    "reduced",
+    "tabu",
+)
 
 
 def _fused_reduce(
@@ -115,9 +128,12 @@ def _fused_reduce(
         if admissible is None:
             mask = np.ones(fitnesses.shape, dtype=bool)
         else:
-            mask = np.asarray(admissible, dtype=bool).copy()
+            mask = np.asarray(admissible, dtype=bool)
         if aspiration_fitness is not None:
-            mask |= fitnesses < np.asarray(aspiration_fitness, dtype=np.float64)[:, None]
+            # A new array: the caller's mask is only read.
+            mask = mask | (
+                fitnesses < np.asarray(aspiration_fitness, dtype=np.float64)[:, None]
+            )
         candidates = np.where(mask, fitnesses, np.inf)
         indices = candidates.argmin(axis=1)
         blocked = ~mask.any(axis=1)
@@ -155,6 +171,219 @@ def _fleet_pass(context: GPUContext, evaluate, *args, **kwargs) -> np.ndarray | 
     scores = evaluate(*args, **kwargs)
     context.stats.host_eval_time += time.perf_counter() - start
     return scores
+
+
+def _check_deltas(
+    replicas: np.ndarray, bits: np.ndarray, num_replicas: int, n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Validate ``(replica, bit)`` flips against an ``(R, n)`` resident block."""
+    replicas = np.asarray(replicas, dtype=np.int64).ravel()
+    bits = np.asarray(bits, dtype=np.int64).ravel()
+    if replicas.shape != bits.shape:
+        raise ValueError("replicas and bits must have the same length")
+    if replicas.size:
+        if replicas.min() < 0 or replicas.max() >= num_replicas:
+            raise IndexError("delta replica index out of range")
+        if bits.min() < 0 or bits.max() >= n:
+            raise IndexError("delta bit index out of range")
+    return replicas, bits
+
+
+def _delta_pairs(replicas: np.ndarray, bits: np.ndarray) -> np.ndarray:
+    """The ``(m, 2)`` delta packet rows of ``m`` flips."""
+    pairs = np.empty((replicas.size, 2), dtype=DELTA_DTYPE)
+    pairs[:, 0] = replicas
+    pairs[:, 1] = bits
+    return pairs
+
+
+def _group_by_owner(
+    rows: np.ndarray, parts: list, ordered: bool
+) -> tuple[np.ndarray | None, np.ndarray]:
+    """Group replica ids by owning device, each device's in caller order.
+
+    ``parts`` are the ``(evaluator, lo, hi)`` ranges tiling the replicas,
+    in device order.  Returns ``(order, cuts)``: device ``i`` owns
+    ``rows[order][cuts[i]:cuts[i + 1]]``, where ``order`` is ``None`` when
+    the caller vouches that ``rows`` do not descend (``ordered``) — then one
+    binary search finds every cut.
+    """
+    if ordered:
+        return None, np.searchsorted(rows, [lo for _, lo, _ in parts] + [parts[-1][2]])
+    owner = np.searchsorted([hi for _, _, hi in parts], rows, side="right")
+    order = np.argsort(owner, kind="stable")
+    return order, np.searchsorted(owner[order], np.arange(len(parts) + 1))
+
+
+def _strictly_increasing(rows: np.ndarray) -> bool:
+    """Whether ``rows`` ascend without repeats.
+
+    ``S`` such rows inside ``[0, S)`` are exactly ``arange(S)``: a device's
+    whole block, in order, which needs no id list.
+    """
+    return rows.size < 2 or bool((rows[1:] > rows[:-1]).all())
+
+
+def _stack(blocks: list[np.ndarray], out: np.ndarray) -> np.ndarray:
+    """Row-stack per-device blocks into ``out`` (a lone block is used as is)."""
+    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks, out=out)
+
+
+def _reduction_packet_rows(
+    admissible: np.ndarray | None,
+    stamps: np.ndarray | None,
+    aspiration_fitness: np.ndarray | None,
+    thresholds: np.ndarray | None,
+) -> list[np.ndarray]:
+    """The reduction packet's bytes as ``(S, k)`` rows, one array per part.
+
+    A device's packet is the concatenation of its rows of every part, in
+    this order: the bit-packed admissibility mask, the tabu iteration
+    stamps, the aspiration and the improvement thresholds.
+    """
+    parts = []
+    if admissible is not None:
+        parts.append(np.packbits(admissible, axis=1))
+    for values, dtype in (
+        (stamps, TABU_STAMP_DTYPE),
+        (aspiration_fitness, np.float64),
+        (thresholds, np.float64),
+    ):
+        if values is not None:
+            values = np.ascontiguousarray(values, dtype=dtype)
+            parts.append(values.view(np.uint8).reshape(values.size, -1))
+    return parts
+
+
+def _fleet_tabu_mask(
+    shares: list, spans: list[slice], stamps: np.ndarray, tenure: int, shape: tuple
+) -> np.ndarray:
+    """Admissibility of every stacked row's moves, from the devices' tabu memory.
+
+    Each device compares its rows' resident ``last_applied`` stamps straight
+    into its span of the one fleet mask; stacking the int64 stamps first
+    would copy the whole ``(S, M)`` block once more per step.
+    """
+    if tenure == 0:
+        return np.ones(shape, dtype=bool)
+    mask = np.empty(shape, dtype=bool)
+    for (device, local, _, full), span in zip(shares, spans):
+        last = device._tabu_last_applied if full else device._tabu_last_applied[local]
+        np.greater(stamps[span, None] - last, tenure, out=mask[span])
+    return mask
+
+
+def _tabu_escape(
+    shares: list,
+    spans: list[slice],
+    fitnesses: np.ndarray,
+    indices: np.ndarray,
+    best: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The robust-tabu escape, resolved next to the fused reduction.
+
+    A blocked replica (every move tabu, none aspirated) falls back to its
+    oldest move, so no extra fitness fetch crosses PCIe.
+    """
+    blocked = indices < 0
+    if not blocked.any():
+        return indices, best
+    oldest = indices.copy()
+    for (device, local, _, _), span in zip(shares, spans):
+        rows = blocked[span]
+        if rows.any():
+            oldest[span][rows] = device._tabu_last_applied[local[rows]].argmin(axis=1)
+    indices = np.where(blocked, oldest, indices).astype(np.int64)
+    best = np.where(
+        blocked, fitnesses[np.arange(indices.size), indices], best
+    ).astype(np.float64)
+    return indices, best
+
+
+def _resident_step(
+    context: GPUContext,
+    shares: list,
+    fleet_rows: np.ndarray,
+    reduce: str | None,
+    admissible: np.ndarray | None,
+    aspiration_fitness: np.ndarray | None,
+    thresholds: np.ndarray | None,
+    stamps: np.ndarray | None,
+):
+    """One resident step of a fleet: one pass, one chain per device, one epilogue.
+
+    ``shares`` lists ``(device evaluator, local rows, block, full)`` for
+    every launching device, in fleet order: the order of ``fleet_rows``
+    (global replica ids) and of the per-replica reduction inputs.  One
+    problem call scores the stacked block (its wall is charged to
+    ``context``); each device's launch chain then stores and prices its
+    slice; the tabu mask, fused reduction and robust-tabu escape run once
+    on the stacked block; and each device stores its share of the result.
+
+    Returns the ``(S, M)`` fitness block (``reduce=None``) or the
+    per-replica ``(indices, fitnesses)``, in fleet order.
+    """
+    first = shares[0][0]
+    num_indices = first.neighborhood.size
+    if len(shares) == 1:
+        _, local, block, _ = shares[0]
+        # A fleet of one scores straight into its device's fitness buffer,
+        # so its launch's store is free.
+        out = first._resident_fitnesses(local.size).reshape(local.size, num_indices)
+    else:
+        block = np.concatenate([share[2] for share in shares])
+        out = np.empty((fleet_rows.size, num_indices), dtype=np.float64)
+    scores = _fleet_pass(
+        context,
+        first.problem.evaluate_neighborhood_batch,
+        block,
+        first.neighborhood.moves(),
+        out=out,
+        rows=fleet_rows,
+    )
+    packet_rows = (
+        []
+        if reduce is None
+        else _reduction_packet_rows(admissible, stamps, aspiration_fitness, thresholds)
+    )
+    spans = []
+    downloads = []
+    offset = 0
+    for device, local, device_block, full in shares:
+        span = slice(offset, offset + local.size)
+        offset = span.stop
+        spans.append(span)
+        downloads.append(
+            device._launch_resident(
+                local,
+                device_block,
+                None if scores is None else scores[span],
+                reduce,
+                full,
+                [part[span].reshape(-1) for part in packet_rows],
+            )
+        )
+    if reduce is None:
+        return _stack(downloads, out)
+    if scores is None:
+        scores = _stack([share[0]._last_fitnesses for share in shares], out)
+    # The reduction epilogue, once for the whole fleet: with the
+    # device-resident tabu memory the mask comes from the stamps, and
+    # blocked replicas take the robust-tabu escape.
+    if stamps is not None:
+        admissible = _fleet_tabu_mask(
+            shares, spans, stamps, first._tabu_tenure, scores.shape
+        )
+    indices, best = _fused_reduce(
+        scores, reduce, admissible, aspiration_fitness, thresholds
+    )
+    if stamps is not None:
+        indices, best = _tabu_escape(shares, spans, scores, indices, best)
+    for (device, local, _, _), span in zip(shares, spans):
+        device._store_reduced(
+            local, indices[span], best[span], None if stamps is None else stamps[span]
+        )
+    return indices, best
 
 
 def _check_reduction_args(
@@ -517,6 +746,12 @@ class GPUEvaluator(NeighborhoodEvaluator):
         self._batch_slice_kernel = build_slice_kernel(
             self.batch_kernel, self.batch_kernel.name + "[slice]"
         )
+        #: Device buffer names of the resident session and the fused
+        #: reduction's kernel names, formatted once.
+        self._buffer_names = {kind: f"{kind}:{id(self)}" for kind in _SESSION_BUFFERS}
+        self._reduce_names = {
+            op: f"FusedReduce<{op}>[{self.batch_kernel.name}]" for op in REDUCE_OPS
+        }
         # Persistent device-side fitness buffer, allocated once (as a real
         # implementation would) and reused across iterations.
         self._fitness_buffer = self.context.alloc(
@@ -660,7 +895,7 @@ class GPUEvaluator(NeighborhoodEvaluator):
     supports_device_residency = True
 
     def _session_buffer(self, kind: str) -> str:
-        return f"{kind}:{id(self)}"
+        return self._buffer_names[kind]
 
     def begin_search(self, solutions: np.ndarray, *, persistent: bool = False) -> None:
         """Upload the ``(R, n)`` solution block once; it stays device-resident.
@@ -785,16 +1020,14 @@ class GPUEvaluator(NeighborhoodEvaluator):
         """
         if self._resident is None:
             raise RuntimeError("begin_search must be called before apply_deltas")
-        replicas = np.asarray(replicas, dtype=np.int64).ravel()
-        bits = np.asarray(bits, dtype=np.int64).ravel()
-        if replicas.shape != bits.shape:
-            raise ValueError("replicas and bits must have the same length")
-        if replicas.size == 0:
-            return
-        if replicas.min() < 0 or replicas.max() >= self._resident.shape[0]:
-            raise IndexError("delta replica index out of range")
-        if bits.min() < 0 or bits.max() >= self.problem.n:
-            raise IndexError("delta bit index out of range")
+        replicas, bits = _check_deltas(
+            replicas, bits, self._resident.shape[0], self.problem.n
+        )
+        if replicas.size:
+            self._flip(replicas, bits, stage=stage)
+
+    def _flip(self, replicas: np.ndarray, bits: np.ndarray, *, stage: bool) -> None:
+        """Apply validated flips to the mirror and stage their delta packet."""
         self._resident[replicas, bits] ^= 1
         if self._loop is not None and not self._loop.closed:
             # Persistent launch: the winning move was selected by the
@@ -802,9 +1035,8 @@ class GPUEvaluator(NeighborhoodEvaluator):
             # delta packet ever crosses PCIe.  Only the host mirror is kept
             # in sync here.
             return
-        if not stage:
-            return
-        self._staged_deltas.append(np.stack([replicas, bits], axis=1).astype(DELTA_DTYPE))
+        if stage:
+            self._staged_deltas.append(_delta_pairs(replicas, bits))
 
     def note_peer_delivery(self, time: float) -> None:
         """Order the next resident launch after a peer-delivered packet.
@@ -861,45 +1093,6 @@ class GPUEvaluator(NeighborhoodEvaluator):
         self._last_rows = None
         self.note_peer_delivery(arrival)
 
-    def _resident_tabu_mask(
-        self, rows: np.ndarray, stamps: np.ndarray, num_indices: int
-    ) -> np.ndarray:
-        """Admissibility of the rows' moves, read from the device tabu memory."""
-        if self._tabu_tenure == 0:
-            return np.ones((rows.size, num_indices), dtype=bool)
-        last = self._tabu_last_applied
-        # ``rows`` is sorted and unique (it comes from np.nonzero), so a
-        # full-range check identifies the every-replica-active fast case and
-        # skips the O(S·M) gather copy.
-        if not (rows.size == last.shape[0] and rows[0] == 0 and rows[-1] == rows.size - 1):
-            last = last[rows]
-        return (stamps[:, None] - last) > self._tabu_tenure
-
-    def _resident_tabu_select(
-        self,
-        rows: np.ndarray,
-        stamps: np.ndarray,
-        fitnesses: np.ndarray,
-        indices: np.ndarray,
-        best: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """On-device epilogue of the tabu reduction: escape + memory update.
-
-        A blocked replica (every move tabu, none aspirated) falls back to its
-        oldest move — the robust-tabu escape, resolved next to the reduction
-        so no extra fitness fetch crosses PCIe — and the winning move's
-        ``last_applied`` stamp is written in place, in device memory.
-        """
-        blocked = indices < 0
-        if blocked.any():
-            oldest = self._tabu_last_applied[rows].argmin(axis=1)
-            indices = np.where(blocked, oldest, indices).astype(np.int64)
-            best = np.where(
-                blocked, fitnesses[np.arange(rows.size), indices], best
-            ).astype(np.float64)
-        self._tabu_last_applied[rows, indices] = stamps
-        return indices, best
-
     def evaluate_resident(
         self,
         replica_ids: np.ndarray | None = None,
@@ -943,9 +1136,9 @@ class GPUEvaluator(NeighborhoodEvaluator):
             on-device, and the winning move's stamp is updated in place.
             Mutually exclusive with ``admissible``.
 
-        A standalone device is a fleet of one: one problem call (the fleet
-        pass) scores the replicas, then the launch stores and prices them,
-        exactly as each device of a :class:`MultiGPUEvaluator` does.
+        A standalone device is a fleet of one: it runs the same step as each
+        device of a :class:`MultiGPUEvaluator` (one fleet pass, its launch
+        chain, one reduction epilogue).
 
         Returns the fitness matrix (``reduce=None``) or an
         ``(indices, fitnesses)`` pair of per-replica arrays where a blocked
@@ -955,41 +1148,39 @@ class GPUEvaluator(NeighborhoodEvaluator):
         """
         if self._resident is None:
             raise RuntimeError("begin_search must be called before evaluate_resident")
+        num_replicas = self._resident.shape[0]
         if replica_ids is None:
-            rows = np.arange(self._resident.shape[0], dtype=np.int64)
-            block = self._resident
+            rows = np.arange(num_replicas, dtype=np.int64)
+            full = True
         else:
             rows = np.asarray(replica_ids, dtype=np.int64).ravel()
-            if rows.size and (rows.min() < 0 or rows.max() >= self._resident.shape[0]):
+            if rows.size and (rows.min() < 0 or rows.max() >= num_replicas):
                 raise IndexError("replica id out of range")
-            block = self._resident[rows]
-        shape = (rows.size, self.neighborhood.size)
+            full = rows.size == num_replicas and _strictly_increasing(rows)
         admissible, stamps = _check_reduction_args(
-            shape,
+            (rows.size, self.neighborhood.size),
             reduce,
             admissible,
             tabu_iterations,
             tabu_resident=self._tabu_last_applied is not None,
             persistent=self._loop is not None and not self._loop.closed,
         )
-        # The fleet-of-one pass writes straight into this device's fitness
-        # buffer, so the launch's store is free.
-        scores = _fleet_pass(
+        block = self._resident if full else self._resident[rows]
+        return _resident_step(
             self.context,
-            self.problem.evaluate_neighborhood_batch,
-            block,
-            self.neighborhood.moves(),
-            out=self._resident_fitnesses(rows.size).reshape(shape),
-            rows=rows,
-        )
-        return self._launch_resident(
-            rows, block, scores, reduce, admissible, aspiration_fitness, thresholds, stamps
+            [(self, rows, block, full)],
+            rows,
+            reduce,
+            admissible,
+            aspiration_fitness,
+            thresholds,
+            stamps,
         )
 
     def _resident_fitnesses(self, num_solutions: int) -> np.ndarray:
         """The session's flat ``S * M`` fitness buffer, resized with ``S``."""
         context = self.context
-        flat_name = self._session_buffer("resident_fitnesses")
+        flat_name = self._buffer_names["resident_fitnesses"]
         flat_size = num_solutions * self.neighborhood.size
         if self._resident_fitness_size not in (None, flat_size):
             context.free(flat_name)
@@ -998,72 +1189,79 @@ class GPUEvaluator(NeighborhoodEvaluator):
             self._resident_fitness_size = flat_size
         return context.memory.get(flat_name).data
 
+    def _reduced_buffer(self, num_solutions: int) -> np.ndarray:
+        """The session's per-replica ``(index, fitness)`` buffer, resized with ``S``."""
+        context = self.context
+        name = self._buffer_names["reduced"]
+        if self._reduced_size not in (None, num_solutions):
+            context.free(name)
+        if self._reduced_size != num_solutions:
+            context.alloc(name, (num_solutions,), REDUCED_PAIR_DTYPE)
+            self._reduced_size = num_solutions
+        return context.memory.get(name).data
+
     def _launch_resident(
         self,
         rows: np.ndarray,
         block: np.ndarray,
         scores: np.ndarray | None,
         reduce: str | None,
-        admissible: np.ndarray | None,
-        aspiration_fitness: np.ndarray | None,
-        thresholds: np.ndarray | None,
-        stamps: np.ndarray | None,
-    ):
-        """This device's launch of one resident step, on validated inputs.
+        full: bool,
+        packet: list[np.ndarray],
+    ) -> np.ndarray | None:
+        """This device's launch chain of one resident step.
 
-        ``rows`` are local rows of the resident block, ``block`` their
-        solutions and ``scores`` their slice of the fleet pass (``None`` in
-        per-thread mode), which the launch stores and the simulator prices.
+        ``rows`` are local rows of the resident block (``full`` when they
+        are all of them, in order, so no id list crosses PCIe), ``block``
+        their solutions, ``scores`` their slice of the fleet pass (``None``
+        in per-thread mode, where the launch evaluates every slot itself)
+        and ``packet`` the byte chunks of their reduction packet.  The
+        launch stores its fitness block; every operation is priced on the
+        device's streams in issue order.  Returns the downloaded ``(S, M)``
+        fitness rows when ``reduce`` is ``None``.  The reduced pairs are
+        written afterwards by the fleet's epilogue (:meth:`_store_reduced`):
+        pricing never reads device contents.
         """
-        timeline = self.context.timeline
-        before_elapsed = timeline.elapsed
-        flat = self._resident_fitnesses(rows.size)
-        if self._loop is not None and not self._loop.closed:
-            result = self._evaluate_persistent(
-                rows, block, flat, scores, reduce,
-                admissible, aspiration_fitness, thresholds, stamps,
-            )
-        else:
-            result = self._evaluate_resident_async(
-                rows, block, flat, scores, reduce,
-                admissible, aspiration_fitness, thresholds, stamps,
-            )
-            self.stats.simulated_time += timeline.elapsed - before_elapsed
-        self.stats.calls += 1
-        self.stats.evaluations += flat.size
-        return result
-
-    def _evaluate_resident_async(
-        self,
-        rows: np.ndarray,
-        block: np.ndarray,
-        flat: np.ndarray,
-        scores: np.ndarray | None,
-        reduce: str | None,
-        admissible: np.ndarray | None,
-        aspiration_fitness: np.ndarray | None,
-        thresholds: np.ndarray | None,
-        stamps: np.ndarray | None,
-    ):
-        """One stream-ordered resident iteration (the delta/reduced modes)."""
         context = self.context
         num_solutions, num_indices = rows.size, self.neighborhood.size
-        flat_size = num_solutions * num_indices
+        flat = self._resident_fitnesses(num_solutions)
+        args = (block, flat) if scores is None else (block, flat, scores)
+        self._last_fitnesses = flat.reshape(num_solutions, num_indices)
+        self._last_rows = rows
+        self.stats.calls += 1
+        self.stats.evaluations += flat.size
+        loop = self._loop
+        if loop is not None and not loop.closed:
+            # One on-device iteration of the persistent launch: no kernel is
+            # launched and no delta/id packet is uploaded (the resident grid
+            # scatters the flips it selected itself).  The host only writes
+            # the O(S) early-stop flags and drains the 16 B/replica result
+            # ring, both concurrent with the loop, so only the on-device work
+            # advances the evaluator's clock.
+            self._staged_deltas = []
+            loop.write_control(self._resident.shape[0] * STOP_FLAG_BYTES)
+            added = loop.iterate(
+                (num_solutions, num_indices), args, cost=self.batch_kernel.cost
+            )
+            added += loop.reduce(flat.size)
+            self._reduced_buffer(num_solutions)
+            loop.drain_ring(num_solutions * REDUCED_RESULT_BYTES)
+            self.stats.simulated_time += added
+            return None
+        before_elapsed = context.timeline.elapsed
         # The pre-kernel delta packet: staged (replica, bit) flips plus —
         # when a strict subset of replicas is active — the id list.  One
         # staging buffer, one PCIe transaction, one latency.
-        packet_parts = [pairs.reshape(-1).view(np.uint8) for pairs in self._staged_deltas]
+        deltas = [pairs.reshape(-1).view(np.uint8) for pairs in self._staged_deltas]
         self._staged_deltas = []
-        if rows.size != self._resident.shape[0] or not np.array_equal(
-            rows, np.arange(self._resident.shape[0])
-        ):
-            packet_parts.append(rows.astype(SOLUTION_DTYPE).view(np.uint8))
+        if not full:
+            deltas.append(rows.astype(SOLUTION_DTYPE).view(np.uint8))
         kernel_deps = []
-        if packet_parts:
+        if deltas:
             kernel_deps.append(
                 context.copy_async(
-                    self._session_buffer("deltas"),
-                    np.concatenate(packet_parts),
+                    self._buffer_names["deltas"],
+                    np.concatenate(deltas),
                     stream=COPY_STREAM,
                     not_before=self._sync_time,
                 )
@@ -1071,19 +1269,17 @@ class GPUEvaluator(NeighborhoodEvaluator):
         _, kernel_event = context.launch_async(
             self.batch_kernel,
             (num_solutions, num_indices),
-            (block, flat) if scores is None else (block, flat, scores),
+            args,
             wait_for=kernel_deps,
             not_before=self._sync_time,
             block_size=self.block_size,
         )
-        fitnesses = flat.reshape(num_solutions, num_indices)
-        self._last_fitnesses = fitnesses
-        self._last_rows = rows
         if reduce is None:
             data, down_event = context.download_async(
-                self._session_buffer("resident_fitnesses"), wait_for=kernel_event
+                self._buffer_names["resident_fitnesses"], wait_for=kernel_event
             )
             self._sync_time = down_event.time
+            self.stats.simulated_time += context.timeline.elapsed - before_elapsed
             return data.reshape(num_solutions, num_indices)
         reduce_deps = [kernel_event]
         # The reduction packet (bit-packed admissibility mask or — with the
@@ -1092,120 +1288,41 @@ class GPUEvaluator(NeighborhoodEvaluator):
         # consumed only by the reduction epilogue, so its upload is issued on
         # the copy stream concurrently with the evaluation kernel — the
         # transfer hides under the kernel's execution time.
-        reduction_parts = []
-        if admissible is not None:
-            reduction_parts.append(np.packbits(admissible, axis=1).reshape(-1))
-        if stamps is not None:
-            reduction_parts.append(stamps.view(np.uint8))
-        if aspiration_fitness is not None:
-            reduction_parts.append(
-                np.asarray(aspiration_fitness, dtype=np.float64).view(np.uint8)
-            )
-        if thresholds is not None:
-            reduction_parts.append(
-                np.asarray(thresholds, dtype=np.float64).view(np.uint8)
-            )
-        if reduction_parts:
+        if packet:
             reduce_deps.append(
                 context.copy_async(
-                    self._session_buffer("reduction_packet"),
-                    np.concatenate(reduction_parts),
+                    self._buffer_names["reduction_packet"],
+                    np.concatenate(packet),
                     stream=COPY_STREAM,
                     not_before=self._sync_time,
                 )
             )
-        if stamps is not None:
-            admissible = self._resident_tabu_mask(rows, stamps, num_indices)
-        indices, best = _fused_reduce(
-            fitnesses, reduce, admissible, aspiration_fitness, thresholds
-        )
-        if stamps is not None:
-            indices, best = self._resident_tabu_select(
-                rows, stamps, fitnesses, indices, best
-            )
-        reduced_name = self._session_buffer("reduced")
-        if self._reduced_size not in (None, num_solutions):
-            context.free(reduced_name)
-        if self._reduced_size != num_solutions:
-            context.alloc(reduced_name, (num_solutions,), REDUCED_PAIR_DTYPE)
-            self._reduced_size = num_solutions
-        reduced_buf = context.memory.get(reduced_name).data
-        reduced_buf["index"] = indices
-        reduced_buf["fitness"] = best
+        self._reduced_buffer(num_solutions)
         reduce_event = context.reduce_async(
-            f"FusedReduce<{reduce}>[{self.batch_kernel.name}]",
-            flat_size,
-            wait_for=reduce_deps,
+            self._reduce_names[reduce], flat.size, wait_for=reduce_deps
         )
-        data, down_event = context.download_async(reduced_name, wait_for=reduce_event)
+        _, down_event = context.download_async(
+            self._buffer_names["reduced"], wait_for=reduce_event
+        )
         self._sync_time = down_event.time
-        return (
-            data["index"].astype(np.int64),
-            data["fitness"].astype(np.float64),
-        )
+        self.stats.simulated_time += context.timeline.elapsed - before_elapsed
+        return None
 
-    def _evaluate_persistent(
+    def _store_reduced(
         self,
         rows: np.ndarray,
-        block: np.ndarray,
-        flat: np.ndarray,
-        scores: np.ndarray | None,
-        reduce: str | None,
-        admissible: np.ndarray | None,
-        aspiration_fitness: np.ndarray | None,
-        thresholds: np.ndarray | None,
+        indices: np.ndarray,
+        best: np.ndarray,
         stamps: np.ndarray | None,
-    ):
-        """One on-device iteration of the persistent launch.
-
-        No kernel is launched and no delta/id packet is uploaded: the
-        resident grid scatters the flips it selected itself, evaluates, and
-        reduces, all inside the one open launch.  The host's only traffic is
-        the ``O(S)`` early-stop flag write and the 16 B/replica result-ring
-        drain, both concurrent with the loop; the per-replica bookkeeping
-        the reduction needs (iteration counters, best-so-far aspiration
-        fitness) already lives on the device.
-        """
-        loop = self._loop
-        num_solutions, num_indices = rows.size, self.neighborhood.size
-        flat_size = num_solutions * num_indices
-        # Flips were applied on-device by the previous iteration's epilogue.
-        self._staged_deltas = []
-        loop.write_control(self._resident.shape[0] * STOP_FLAG_BYTES)
-        added = loop.iterate(
-            (num_solutions, num_indices),
-            (block, flat) if scores is None else (block, flat, scores),
-            cost=self.batch_kernel.cost,
-        )
-        fitnesses = flat.reshape(num_solutions, num_indices)
-        self._last_fitnesses = fitnesses
-        self._last_rows = rows
+    ) -> None:
+        """Write this device's share of the fleet epilogue into device memory:
+        the reduced ``(index, fitness)`` pairs and, with the device-resident
+        tabu memory, the winning moves' ``last_applied`` stamps."""
+        reduced = self.context.memory.get(self._buffer_names["reduced"]).data
+        reduced["index"] = indices
+        reduced["fitness"] = best
         if stamps is not None:
-            admissible = self._resident_tabu_mask(rows, stamps, num_indices)
-        indices, best = _fused_reduce(
-            fitnesses, reduce, admissible, aspiration_fitness, thresholds
-        )
-        if stamps is not None:
-            indices, best = self._resident_tabu_select(
-                rows, stamps, fitnesses, indices, best
-            )
-        added += loop.reduce(flat_size)
-        # The per-iteration result ring entry: 16 bytes per active replica,
-        # drained by the host while the grid keeps looping.
-        reduced_name = self._session_buffer("reduced")
-        if self._reduced_size not in (None, num_solutions):
-            self.context.free(reduced_name)
-        if self._reduced_size != num_solutions:
-            self.context.alloc(reduced_name, (num_solutions,), REDUCED_PAIR_DTYPE)
-            self._reduced_size = num_solutions
-        reduced_buf = self.context.memory.get(reduced_name).data
-        reduced_buf["index"] = indices
-        reduced_buf["fitness"] = best
-        loop.drain_ring(num_solutions * REDUCED_RESULT_BYTES)
-        # The ring drain and flag write hide under the resident loop; only
-        # the on-device work advances the evaluator's clock.
-        self.stats.simulated_time += added
-        return indices.copy(), best.copy()
+            self._tabu_last_applied[rows, indices] = stamps
 
     def fetch_fitnesses(self, replicas: np.ndarray, move_indices: np.ndarray) -> np.ndarray:
         """Read single entries of the last evaluated fitness block.
@@ -1263,15 +1380,7 @@ class GPUEvaluator(NeighborhoodEvaluator):
                 self.stats.simulated_time += record.launch_overhead
                 self.last_persistent_record = record
             self._loop = None
-        for kind in (
-            "resident",
-            "deltas",
-            "reduction_packet",
-            "resident_fitnesses",
-            "reduced",
-            "tabu",
-        ):
-            name = self._session_buffer(kind)
+        for name in self._buffer_names.values():
             if name in self.context.memory.allocations:
                 self.context.free(name)
         self._resident = None
@@ -1459,6 +1568,8 @@ class MultiGPUEvaluator(NeighborhoodEvaluator):
             and self.num_devices > 1
             and self.scheduler.all_peer_capable
         )
+        #: Hub device buffer receiving each step's combined delta packet.
+        self._hub_buffer = f"delta_hub:{id(self)}"
         # Replica ranges [lo, hi) owned by each device in a resident session.
         self._replica_ranges: list[tuple[int, int]] | None = None
         self._persistent = False
@@ -1806,24 +1917,26 @@ class MultiGPUEvaluator(NeighborhoodEvaluator):
         upload (the seed behaviour).  Inside a persistent launch no packet
         moves at all: the resident grids scattered their own selections.
         """
-        replicas = np.asarray(replicas, dtype=np.int64).ravel()
-        bits = np.asarray(bits, dtype=np.int64).ravel()
+        parts = list(self._resident_parts())
+        replicas, bits = _check_deltas(replicas, bits, parts[-1][2], self.problem.n)
         before = self.scheduler.makespan
-        resident_session = self._replica_ranges is not None and not self._persistent
+        resident_session = not self._persistent
         route_peer = self.peer_routing and resident_session and replicas.size > 0
+        order, cuts = _group_by_owner(
+            replicas,
+            parts,
+            ordered=replicas.size < 2 or bool((replicas[1:] >= replicas[:-1]).all()),
+        )
+        if order is not None:
+            replicas, bits = replicas[order], bits[order]
         per_device: list[tuple[GPUEvaluator, np.ndarray]] = []
-        for evaluator, lo, hi in self._resident_parts():
-            mask = (replicas >= lo) & (replicas < hi)
-            if not mask.any():
+        for (evaluator, lo, _), a, b in zip(parts, cuts.tolist(), cuts[1:].tolist()):
+            if b == a:
                 continue
-            evaluator.apply_deltas(
-                replicas[mask] - lo, bits[mask], stage=not route_peer
-            )
+            local, local_bits = replicas[a:b] - lo, bits[a:b]
+            evaluator._flip(local, local_bits, stage=not route_peer)
             if route_peer:
-                pairs = np.stack(
-                    [replicas[mask] - lo, bits[mask]], axis=1
-                ).astype(DELTA_DTYPE)
-                per_device.append((evaluator, pairs))
+                per_device.append((evaluator, _delta_pairs(local, local_bits)))
             elif resident_session:
                 # One host-issued packet per owning device: the driver calls
                 # serialize on the host, which is exactly the per-device
@@ -1862,7 +1975,7 @@ class MultiGPUEvaluator(NeighborhoodEvaluator):
             "issue", "delta_hub", hub_context.device.pcie_latency
         )
         upload = hub_context.copy_async(
-            f"delta_hub:{id(self)}",
+            self._hub_buffer,
             packet,
             not_before=max(hub._sync_time, issue.time),
         )
@@ -1893,13 +2006,15 @@ class MultiGPUEvaluator(NeighborhoodEvaluator):
         thresholds: np.ndarray | None = None,
         tabu_iterations: np.ndarray | None = None,
     ):
-        """One fleet pass, then one launch per device; elapsed time is the
-        slowest device's.
+        """One fleet step: one pass, one launch chain per device, one epilogue;
+        elapsed time is the slowest device's.
 
         A single problem call scores the active replicas of every device
         together (the gain engine serves them by global replica id); each
-        owning device's launch then stores its slice and is priced exactly
-        as a standalone device's resident launch.  During a persistent
+        owning device's launch chain then stores its slice and is priced
+        exactly as a standalone device's resident launch; and the reduction
+        epilogue (tabu mask, fused argmin / first improvement, robust-tabu
+        escape) runs once on the stacked block.  During a persistent
         session the launches run inside the devices' open loops, so the
         per-device stream clocks do not advance until the session ends; the
         elapsed contribution is then the slowest device's accumulated
@@ -1923,67 +2038,62 @@ class MultiGPUEvaluator(NeighborhoodEvaluator):
             tabu_resident=self._resident_tenure is not None,
             persistent=self._persistent,
         )
-        # Each owning device's share of the step, stacked in device order.
-        shares = []
-        for evaluator, lo, hi in self._resident_parts():
-            mask = (rows >= lo) & (rows < hi)
-            if mask.any():
-                shares.append((evaluator, mask, rows[mask] - lo))
-        block = np.concatenate([evaluator._resident[local] for evaluator, _, local in shares])
-        fleet_rows = np.concatenate([rows[mask] for _, mask, _ in shares])
-        scores = _fleet_pass(
-            self.pool.contexts[0],
-            self.problem.evaluate_neighborhood_batch,
-            block,
-            self.neighborhood.moves(),
-            out=np.empty((num_solutions, num_indices), dtype=np.float64),
-            rows=fleet_rows,
-        )
-        if reduce is None:
-            # Ascending rows (every runner's) stack in the caller's order, so
-            # the devices' downloads land in the fleet pass's own array.
-            if scores is not None and np.array_equal(fleet_rows, rows):
-                out_fitnesses = scores
-            else:
-                out_fitnesses = np.empty((num_solutions, num_indices), dtype=np.float64)
-        else:
-            out_indices = np.empty(num_solutions, dtype=np.int64)
-            out_best = np.empty(num_solutions, dtype=np.float64)
-        before_makespan = self.scheduler.makespan
-        per_device_times = []
-        offset = 0
-        for evaluator, mask, local in shares:
-            share = slice(offset, offset + local.size)
-            offset += local.size
-            before = evaluator.stats.simulated_time
-            sub = evaluator._launch_resident(
-                local,
-                block[share],
-                None if scores is None else scores[share],
-                reduce,
-                admissible[mask] if admissible is not None else None,
-                aspiration_fitness[mask] if aspiration_fitness is not None else None,
-                thresholds[mask] if thresholds is not None else None,
-                stamps[mask] if stamps is not None else None,
+        # Stack the step in device order.  Ascending rows (every runner's)
+        # already are; otherwise a stable sort by owner keeps each device's
+        # rows in the caller's order, and the results are scattered back.
+        parts = list(self._resident_parts())
+        ascending = _strictly_increasing(rows)
+        order, cuts = _group_by_owner(rows, parts, ordered=ascending)
+        fleet_rows = rows
+        if order is not None:
+            fleet_rows = rows[order]
+            admissible, aspiration_fitness, thresholds, stamps = (
+                None if values is None else np.asarray(values)[order]
+                for values in (admissible, aspiration_fitness, thresholds, stamps)
             )
-            per_device_times.append(evaluator.stats.simulated_time - before)
-            if reduce is None:
-                out_fitnesses[mask] = sub
-            else:
-                out_indices[mask], out_best[mask] = sub
+        shares = []
+        for (evaluator, lo, hi), a, b in zip(parts, cuts.tolist(), cuts[1:].tolist()):
+            if b == a:
+                continue
+            local = fleet_rows[a:b] - lo
+            full = b - a == hi - lo and (
+                ascending or np.array_equal(local, np.arange(hi - lo))
+            )
+            block = evaluator._resident if full else evaluator._resident[local]
+            shares.append((evaluator, local, block, full))
+        before_makespan = self.scheduler.makespan
+        before = [share[0].stats.simulated_time for share in shares]
+        result = _resident_step(
+            self.pool.contexts[0],
+            shares,
+            fleet_rows,
+            reduce,
+            admissible,
+            aspiration_fitness,
+            thresholds,
+            stamps,
+        )
         self.stats.calls += 1
         self.stats.evaluations += num_solutions * num_indices
         if self._persistent:
             # Inside persistent launches the stream clocks advance only at
             # session end; the elapsed contribution is the slowest device's
             # accumulated on-device time.
-            self.stats.simulated_time += (
-                max(per_device_times) if per_device_times else 0.0
+            self.stats.simulated_time += max(
+                share[0].stats.simulated_time - start
+                for share, start in zip(shares, before)
             )
         else:
             self.stats.simulated_time += self.scheduler.makespan - before_makespan
+        if order is None:
+            return result
         if reduce is None:
-            return out_fitnesses
+            out = np.empty_like(result)
+            out[order] = result
+            return out
+        out_indices = np.empty_like(result[0])
+        out_best = np.empty_like(result[1])
+        out_indices[order], out_best[order] = result
         return out_indices, out_best
 
     def fetch_fitnesses(self, replicas: np.ndarray, move_indices: np.ndarray) -> np.ndarray:

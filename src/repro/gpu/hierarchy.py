@@ -9,6 +9,7 @@ faithfully in Python.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -118,6 +119,7 @@ class LaunchConfig:
                                 )
 
 
+@functools.lru_cache(maxsize=256)
 def grid_for(
     total_threads: int,
     block_size: int = DEFAULT_BLOCK_SIZE,
@@ -130,7 +132,8 @@ def grid_for(
     rounded up to whole blocks; when the number of blocks exceeds the
     hardware's 65535 per-dimension grid limit the grid spills into a second
     dimension (needed for the 3-Hamming neighborhoods of the larger
-    instances).
+    instances).  Configurations are immutable, so repeated launch shapes
+    share one memoized instance.
     """
     if total_threads <= 0:
         raise ValueError(f"total_threads must be positive, got {total_threads}")

@@ -51,7 +51,7 @@ from __future__ import annotations
 
 from bisect import bisect_right, insort
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .device import DeviceSpec
 from .memory import HostMemoryKind
@@ -446,9 +446,12 @@ def resolve_topology(
     )
 
 
-@dataclass(frozen=True)
-class TransferRequest:
-    """One copy to be routed over the fabric."""
+class TransferRequest(NamedTuple):
+    """One copy to be routed over the fabric.
+
+    Requests and grants are named tuples: every simulated copy builds one of
+    each, and a tuple builds several times faster than a frozen dataclass.
+    """
 
     device: str
     direction: str  # "h2d" | "d2h" | "p2p"
@@ -462,8 +465,7 @@ class TransferRequest:
     label: str = ""
 
 
-@dataclass(frozen=True)
-class TransferGrant:
+class TransferGrant(NamedTuple):
     """The engine's answer: when the copy runs and how long it takes."""
 
     request: TransferRequest
@@ -871,10 +873,11 @@ class TransferEngine:
 
     def _commit(self, item: _PricingItem, grant: TransferGrant) -> None:
         request = item.request
+        stall = grant.stall
         self.transfers += 1
-        self.total_stall += grant.stall
+        self.total_stall += stall
         self.stall_by_device[request.device] = (
-            self.stall_by_device.get(request.device, 0.0) + grant.stall
+            self.stall_by_device.get(request.device, 0.0) + stall
         )
         for link, key in zip(item.route.links, item.lane.keys):
             self._load(key).commit(grant.start, grant.end, float(request.nbytes))

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -83,8 +84,7 @@ class DeviceBuffer:
         return self.data.copy()
 
 
-@dataclass(frozen=True)
-class TransferRecord:
+class TransferRecord(NamedTuple):
     """One host<->device copy, as logged by the :class:`MemoryManager`."""
 
     direction: str  # "h2d" or "d2h"

@@ -20,6 +20,12 @@ Two issue models coexist:
   caller passes, so a transfer on one stream hides under a kernel running on
   another.  The overlap-aware elapsed time is :attr:`GPUContext.timeline`'s
   makespan.
+
+Every asynchronous operation resolves its issue instant once — the stream
+cursor and the ``wait_for``/``not_before`` barrier (:meth:`GPUContext._issue_start`)
+— prices its transfer from that instant and places itself with one
+:meth:`~repro.gpu.streams.Stream.schedule` call; nothing is recomputed
+between the pricing and the placement.
 """
 
 from __future__ import annotations
@@ -46,6 +52,7 @@ from .streams import (
     P2P_STREAM,
     Event,
     Timeline,
+    ready_time,
 )
 from .timing import GPUTimingModel, KernelCostProfile
 
@@ -447,14 +454,9 @@ class GPUContext:
         not_before: float,
     ) -> float:
         """The instant a stream-ordered operation would start (cursor + deps)."""
-        if wait_for is None:
-            events: list[Event] = []
-        elif isinstance(wait_for, Event):
-            events = [wait_for]
-        else:
-            events = list(wait_for)
-        barrier = max([not_before, *(event.time for event in events)], default=not_before)
-        return max(self.timeline.stream(stream).cursor, barrier)
+        barrier = ready_time(wait_for, not_before)
+        cursor = self.timeline.stream(stream).cursor
+        return cursor if cursor >= barrier else barrier
 
     def host_transfer_grant(
         self,
@@ -641,18 +643,17 @@ class GPUContext:
         if kind is HostMemoryKind.PINNED and self.staging_pool is not None:
             self.staging_pool.stage(int(host_array.nbytes))
         buf = self.memory.to_device(name, host_array, space, host_kind=kind)
+        start = self._issue_start(stream, wait_for, not_before)
         if grant is None:
-            start = self._issue_start(stream, wait_for, not_before)
             grant = self.host_transfer_grant(
                 "h2d", buf.nbytes, kind=kind, start=start, label=name
             )
         self.stats.transfer_time += grant.duration
         self.stats.h2d_bytes += buf.nbytes
-        interval = self.timeline.schedule(
-            "h2d", name, grant.duration,
-            stream=stream, wait_for=wait_for, not_before=not_before,
+        interval = self.timeline.stream(stream).schedule(
+            "h2d", name, grant.duration, not_before=start
         )
-        return Event(stream=stream, time=interval.end)
+        return Event(stream, interval.end)
 
     def download_async(
         self,
@@ -669,18 +670,17 @@ class GPUContext:
         out = self.memory.to_host(name, host_kind=kind)
         if kind is HostMemoryKind.PINNED and self.staging_pool is not None:
             self.staging_pool.stage(int(out.nbytes))
+        start = self._issue_start(stream, wait_for, not_before)
         if grant is None:
-            start = self._issue_start(stream, wait_for, not_before)
             grant = self.host_transfer_grant(
                 "d2h", out.nbytes, kind=kind, start=start, label=name
             )
         self.stats.transfer_time += grant.duration
         self.stats.d2h_bytes += out.nbytes
-        interval = self.timeline.schedule(
-            "d2h", name, grant.duration,
-            stream=stream, wait_for=wait_for, not_before=not_before,
+        interval = self.timeline.stream(stream).schedule(
+            "d2h", name, grant.duration, not_before=start
         )
-        return out, Event(stream=stream, time=interval.end)
+        return out, Event(stream, interval.end)
 
     # ------------------------------------------------------------------
     # Peer-to-peer (device -> device) operations
@@ -740,14 +740,12 @@ class GPUContext:
         peer.memory.get(name).copy_from_host(data)
         # Both endpoints' p2p engines are busy for the copy's duration; the
         # shared start is the later of the two stream cursors (plus deps).
-        barrier = max(
-            self.timeline.stream(P2P_STREAM).cursor,
-            peer.timeline.stream(P2P_STREAM).cursor,
-            not_before,
+        source_stream = self.timeline.stream(P2P_STREAM)
+        peer_stream = peer.timeline.stream(P2P_STREAM)
+        start = ready_time(
+            wait_for, max(source_stream.cursor, peer_stream.cursor, not_before)
         )
         if self.engine is peer.engine:
-            start = self._issue_start(P2P_STREAM, wait_for, barrier)
-            start = max(start, peer.timeline.stream(P2P_STREAM).cursor)
             grant = self.engine.peer_transfer(
                 self.device_key, peer.device_key, int(data.nbytes),
                 start=start, label=name,
@@ -760,15 +758,9 @@ class GPUContext:
         self.stats.p2p_bytes += int(data.nbytes)
         self.stats.peer_transfers += 1
         self.stats.p2p_time += duration
-        self.timeline.schedule(
-            "p2p", f"{name}->peer", duration,
-            stream=P2P_STREAM, wait_for=wait_for, not_before=barrier,
-        )
-        interval = peer.timeline.schedule(
-            "p2p", name, duration,
-            stream=P2P_STREAM, wait_for=wait_for, not_before=barrier,
-        )
-        return Event(stream=P2P_STREAM, time=interval.end)
+        source_stream.schedule("p2p", f"{name}->peer", duration, not_before=start)
+        interval = peer_stream.schedule("p2p", name, duration, not_before=start)
+        return Event(P2P_STREAM, interval.end)
 
     def launch_async(
         self,
@@ -787,15 +779,13 @@ class GPUContext:
         record = self._execute_and_time(
             kernel, active_threads, args, block_size=block_size, config=config, cost=cost
         )
-        interval = self.timeline.schedule(
+        interval = self.timeline.stream(stream).schedule(
             "kernel",
             kernel.name,
             record.time.total_time,
-            stream=stream,
-            wait_for=wait_for,
-            not_before=not_before,
+            not_before=ready_time(wait_for, not_before),
         )
-        return record, Event(stream=stream, time=interval.end)
+        return record, Event(stream, interval.end)
 
     def reduce_async(
         self,
@@ -816,10 +806,10 @@ class GPUContext:
         duration = self.timing.reduction_time(num_elements)
         self.stats.reductions += 1
         self.stats.reduction_time += duration
-        interval = self.timeline.schedule(
-            "reduce", name, duration, stream=stream, wait_for=wait_for, not_before=not_before
+        interval = self.timeline.stream(stream).schedule(
+            "reduce", name, duration, not_before=ready_time(wait_for, not_before)
         )
-        return Event(stream=stream, time=interval.end)
+        return Event(stream, interval.end)
 
     def open_device_loop(
         self,

@@ -34,7 +34,6 @@ from .streams import (
     DEFAULT_STREAM,
     DOWNLOAD_STREAM,
     Event,
-    Stream,
     Timeline,
 )
 from .timing import KernelCostProfile
@@ -59,10 +58,9 @@ def merge_timelines(
     merged = Timeline()
     for prefix, timeline in timelines.items():
         for name, stream in timeline.streams.items():
-            label = f"{prefix}:{name}"
-            view = Stream(name=label, cursor=stream.cursor)
+            view = merged.stream(f"{prefix}:{name}")
+            view.cursor = stream.cursor
             view.copy_records_from(stream)
-            merged.streams[label] = view
     return merged
 
 

@@ -14,11 +14,18 @@ Synchronous operations (the legacy :meth:`GPUContext.to_device` /
 only once *every* stream has drained, so a purely synchronous workload has a
 timeline identical to the serial sum of its operation times, and the async
 API strictly generalizes it.
+
+Bookkeeping is constant-time per operation: :meth:`Stream.schedule` is the
+one scheduling primitive under every asynchronous operation (the callers
+resolve their event barrier once, with :func:`ready_time`, and pass it as
+``not_before``), and every cursor write keeps its timeline's running
+makespan, so :attr:`Timeline.elapsed` is a stored number, not a max over
+streams.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 __all__ = [
     "StreamInterval",
@@ -31,6 +38,7 @@ __all__ = [
     "DOWNLOAD_STREAM",
     "P2P_STREAM",
     "format_timeline",
+    "ready_time",
 ]
 
 #: Name of the null stream used by the synchronous API.
@@ -44,9 +52,12 @@ DOWNLOAD_STREAM = "d2h"
 P2P_STREAM = "p2p"
 
 
-@dataclass(frozen=True)
-class StreamInterval:
-    """One scheduled operation: what ran, on which stream, from when to when."""
+class StreamInterval(NamedTuple):
+    """One scheduled operation: what ran, on which stream, from when to when.
+
+    A named tuple rather than a frozen dataclass: :meth:`Stream.schedule`
+    returns one per operation, and the tuple builds several times faster.
+    """
 
     stream: str
     kind: str  # "kernel" | "h2d" | "d2h" | "reduce"
@@ -59,12 +70,29 @@ class StreamInterval:
         return self.end - self.start
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(NamedTuple):
     """A recorded point on a stream's timeline (a la ``cudaEventRecord``)."""
 
     stream: str
     time: float
+
+
+def ready_time(
+    wait_for: Event | list[Event] | None, not_before: float = 0.0
+) -> float:
+    """The instant every ``wait_for`` event has fired, floored at ``not_before``.
+
+    The event barrier of an asynchronous operation; it is resolved once per
+    operation and handed to :meth:`Stream.schedule` as ``not_before``.
+    """
+    if wait_for is None:
+        return not_before
+    if isinstance(wait_for, Event):
+        return wait_for.time if wait_for.time > not_before else not_before
+    for event in wait_for:
+        if event.time > not_before:
+            not_before = event.time
+    return not_before
 
 
 class Stream:
@@ -75,18 +103,38 @@ class Stream:
     operations per run, and materializing a :class:`StreamInterval` object
     per operation dominated the accounting cost.  The object view is built
     lazily through the :attr:`intervals` property only when a report asks.
+
+    A stream created by :meth:`Timeline.stream` belongs to that timeline:
+    every write of its :attr:`cursor` updates the timeline's running
+    makespan.
     """
 
-    __slots__ = ("name", "cursor", "_kinds", "_names", "_starts", "_ends", "_busy")
+    __slots__ = (
+        "name", "_cursor", "_timeline", "_kinds", "_names", "_starts", "_ends", "_busy",
+    )
 
-    def __init__(self, name: str, cursor: float = 0.0) -> None:
+    def __init__(
+        self, name: str, cursor: float = 0.0, *, timeline: "Timeline | None" = None
+    ) -> None:
         self.name = name
-        self.cursor = cursor
+        self._cursor = cursor
+        self._timeline = timeline
         self._kinds: list[str] = []
         self._names: list[str] = []
         self._starts: list[float] = []
         self._ends: list[float] = []
         self._busy = 0.0
+
+    @property
+    def cursor(self) -> float:
+        """The simulated instant the stream's last operation finishes."""
+        return self._cursor
+
+    @cursor.setter
+    def cursor(self, value: float) -> None:
+        old, self._cursor = self._cursor, value
+        if self._timeline is not None:
+            self._timeline._cursor_moved(old, value)
 
     def append_interval(self, kind: str, name: str, start: float, end: float) -> None:
         """Record one operation without materializing an interval object.
@@ -106,21 +154,26 @@ class Stream:
         """Append one operation; it starts at ``max(cursor, not_before)``.
 
         Operations on one stream execute in order and never overlap each
-        other — overlap only happens *across* streams.
+        other — overlap only happens *across* streams.  This is the one
+        scheduling primitive: asynchronous operations pass their resolved
+        event barrier as ``not_before``.
         """
         if duration < 0:
             raise ValueError(f"operation duration must be non-negative, got {duration}")
-        start = max(self.cursor, not_before)
-        interval = StreamInterval(
-            stream=self.name, kind=kind, name=name, start=start, end=start + duration
-        )
-        self.cursor = interval.end
-        self.append_interval(kind, name, start, interval.end)
-        return interval
+        start = self._cursor
+        if not_before > start:
+            start = not_before
+        end = start + duration
+        self._cursor = end
+        timeline = self._timeline
+        if timeline is not None and end > timeline._elapsed:
+            timeline._elapsed = end
+        self.append_interval(kind, name, start, end)
+        return StreamInterval(self.name, kind, name, start, end)
 
     def record_event(self) -> Event:
         """Capture the stream's current completion time."""
-        return Event(stream=self.name, time=self.cursor)
+        return Event(self.name, self._cursor)
 
     @property
     def num_intervals(self) -> int:
@@ -141,7 +194,7 @@ class Stream:
         add operations.
         """
         return [
-            StreamInterval(stream=self.name, kind=kind, name=name, start=start, end=end)
+            StreamInterval(self.name, kind, name, start, end)
             for kind, name, start, end in zip(
                 self._kinds, self._names, self._starts, self._ends
             )
@@ -193,23 +246,36 @@ class Stream:
 
 
 class Timeline:
-    """The set of streams of one device, plus the device-level clock."""
+    """The set of streams of one device, plus the device-level clock.
+
+    The clock is a running makespan: each cursor write of a member stream
+    raises it, and only a cursor moving *back* from the maximum (a restore)
+    rescans the streams.
+    """
 
     def __init__(self) -> None:
         self.streams: dict[str, Stream] = {}
+        self._elapsed = 0.0
 
     def stream(self, name: str = DEFAULT_STREAM) -> Stream:
         """The stream called ``name``, created on first use."""
-        if name not in self.streams:
-            self.streams[name] = Stream(name)
-        return self.streams[name]
+        stream = self.streams.get(name)
+        if stream is None:
+            stream = self.streams[name] = Stream(name, timeline=self)
+            self._cursor_moved(0.0, 0.0)  # a new cursor starts at t=0
+        return stream
+
+    def _cursor_moved(self, old: float, new: float) -> None:
+        """Keep :attr:`elapsed` equal to the max cursor after one cursor write."""
+        if new >= self._elapsed:
+            self._elapsed = new
+        elif old >= self._elapsed:
+            self._elapsed = max(stream._cursor for stream in self.streams.values())
 
     @property
     def elapsed(self) -> float:
         """Device-level elapsed time: the latest completion over all streams."""
-        if not self.streams:
-            return 0.0
-        return max(stream.cursor for stream in self.streams.values())
+        return self._elapsed
 
     @property
     def busy_time(self) -> float:
@@ -247,24 +313,23 @@ class Timeline:
         not_before: float = 0.0,
     ) -> StreamInterval:
         """Schedule one operation on ``stream`` after the given events."""
-        if wait_for is None:
-            events: list[Event] = []
-        elif isinstance(wait_for, Event):
-            events = [wait_for]
-        else:
-            events = list(wait_for)
-        barrier = max([not_before, *(event.time for event in events)], default=not_before)
-        return self.stream(stream).schedule(kind, name, duration, not_before=barrier)
+        return self.stream(stream).schedule(
+            kind, name, duration, not_before=ready_time(wait_for, not_before)
+        )
 
     def schedule_sync(self, kind: str, name: str, duration: float) -> StreamInterval:
         """Null-stream semantics: start only after every stream has drained."""
         return self.stream(DEFAULT_STREAM).schedule(
-            kind, name, duration, not_before=self.elapsed
+            kind, name, duration, not_before=self._elapsed
         )
 
     def reset(self) -> None:
         """Drop all recorded intervals and rewind every stream to t=0."""
+        # Dropped streams are detached: they no longer move this clock.
+        for stream in self.streams.values():
+            stream._timeline = None
         self.streams.clear()
+        self._elapsed = 0.0
 
     # -- checkpointing ---------------------------------------------------
     def snapshot(self) -> dict:
@@ -273,7 +338,7 @@ class Timeline:
 
     def restore(self, state: dict) -> None:
         """Replace every stream with its snapshotted cursor/busy state."""
-        self.streams.clear()
+        self.reset()
         for name, stream_state in state.items():
             self.stream(name).restore(stream_state)
 

@@ -218,19 +218,19 @@ class ServiceReport:
 class _QueueEntry:
     """A queued job, possibly carrying suspended mid-flight state."""
 
-    __slots__ = ("spec", "record", "saved")
+    __slots__ = ("spec", "record", "saved", "need")
 
     def __init__(self, spec: JobSpec, record: JobRecord, saved: dict | None = None):
         self.spec = spec
         self.record = record
         self.saved = saved
-
-    @property
-    def need(self) -> int:
-        """Replica slots the entry needs (suspended groups may have shrunk)."""
-        if self.saved is not None:
-            return int(self.saved["current"].shape[0])
-        return self.spec.replicas
+        #: Replica slots the entry needs (suspended groups may have shrunk).
+        #: At least one: the admission sweep stops at a full batch on that.
+        self.need = (
+            int(saved["current"].shape[0]) if saved is not None else int(spec.replicas)
+        )
+        if self.need < 1:
+            raise ValueError(f"job {spec.job_id!r} needs {self.need} replica slots")
 
 
 class SolveServer:
@@ -400,13 +400,16 @@ class SolveServer:
             while progressed and queue:
                 progressed = False
                 for entry in list(queue):
-                    if (
-                        entry.need > runner.free_slots
-                        and self.preemption
-                        and entry is queue[0]
-                    ):
+                    free = runner.free_slots
+                    if entry.need > free and self.preemption and entry is queue[0]:
                         try_preempt(entry)
-                    if entry.need > runner.free_slots:
+                        free = runner.free_slots
+                    if entry.need > free:
+                        if free == 0:
+                            # Only the live head may preempt, and it has had
+                            # its attempt (it is this entry or an earlier,
+                            # unadmitted one); every later entry needs a slot.
+                            break
                         continue
                     if (
                         fair_cap is not None
